@@ -182,9 +182,6 @@ class SpectralField:
         c = self.coeffs[idx]
         return c.real if self.real else c
 
-    def map_coeffs(self, fn) -> "SpectralField":
-        return SpectralField(self.grid, fn(self.coeffs), real=self.real)
-
     def __add__(self, other):
         _check_same_layout(self, other)
         return SpectralField(self.grid, self.coeffs + other.coeffs,

@@ -1,10 +1,16 @@
-"""Bony decomposition of pointwise products on the torus.
+"""Pointwise products on the torus: the dealiased product and its Bony split.
 
 The product of f and g splits into two paraproducts and a resonant part:
 block pairs (i, j) with i <= j-2 (low f times high g), j <= i-2, and
 |i - j| <= 1.  Real-space multiplications run on a twice-refined grid so
 block products never alias into wrong rings; the result is truncated back
 to the resolved band with the Nyquist plane zeroed.
+
+The three Bony terms cover every block pair, so on the grid their sum is
+the plain dealiased product.  The split is what the paper's product
+estimate is proved through, and is kept for the product study and the
+calibration of that estimate's constant; the solver's drift pairing
+(``drift_term``) is the dealiased product itself.
 """
 
 from __future__ import annotations
@@ -122,23 +128,20 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     return _truncate_to_grid(prod, f)
 
 
-def drift_term(w: SpectralField, b: SpectralField, alpha: float, beta: float,
-               part: DyadicPartition = None) -> SpectralField:
-    """Sum over components of the Bony products w_i b_i.
+def drift_term(w: SpectralField, b: SpectralField) -> SpectralField:
+    """Drift pairing w . b as one dealiased product summed over components.
 
-    Realizes the drift pairing grad(v) . b as a scalar field in C^(-beta)
-    for w = grad(v) in C^alpha and a drift of matching dimension.
+    Realizes grad(v) . b as a scalar field for w = grad(v) and a drift of
+    matching dimension.  This equals the sum of the Bony products w_i b_i
+    (the three terms cover every block pair), which is where the estimate
+    in C^(-beta) comes from; the split itself is not needed to compute it.
     """
     if w.comp_shape != b.comp_shape or len(w.comp_shape) != 1:
         raise GridError(
             f"drift_term needs matching vectors, got {w.comp_shape} "
             f"and {b.comp_shape}"
         )
-    if part is None:
-        part = dyadic_partition(w.grid)
-    total = None
-    for i in range(w.comp_shape[0]):
-        term = bony_product(w.component(i), alpha, b.component(i), beta,
-                            part).total
-        total = term if total is None else total + term
-    return total
+    if w.grid != b.grid:
+        raise GridError("drift_term: fields on different grids")
+    prod = np.sum(refined_samples(w, 2) * refined_samples(b, 2), axis=0)
+    return _truncate_to_grid(prod, w)

@@ -323,13 +323,12 @@ def _as_affine(s) -> AffinePeriodicField:
     return s
 
 
-def _drift_nodes(v_slices, data: PDEData, cfg: SolverConfig,
-                 part: DyadicPartition):
+def _drift_nodes(v_slices, data: PDEData):
     """drift_term(grad v(t_m), b(t_m)) for every node, as coefficient rows."""
     out = []
     for s, b_m in zip(v_slices, data.b.slices):
         w = _as_affine(s).gradient_field()
-        out.append(drift_term(w, b_m, cfg.alpha, cfg.beta, part).coeffs)
+        out.append(drift_term(w, b_m).coeffs)
     return np.array(out)
 
 
@@ -341,10 +340,10 @@ def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
     source terms.  With ``lambda_kernel`` the lam-term is absorbed into
     the kernel exp(-(lam + |k|^2/2)(s-t)) instead of the integrand; the
     affine slope always follows its exact closed form
-    slope_T exp(-lam (T - t)).
+    slope_T exp(-lam (T - t)).  The drift pairing needs no dyadic
+    partition; ``part`` is accepted so callers can share one signature
+    across the solver API, and is unused.
     """
-    if part is None:
-        part = dyadic_partition(data.grid)
     if lambda_kernel is None:
         lambda_kernel = cfg.uses_lambda_kernel()
     if not np.array_equal(v.t_grid, data.b.t_grid):
@@ -357,7 +356,7 @@ def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
     t = v.t_grid
     dt = cfg.T / cfg.M
     v_T = data.v_T
-    drift = _drift_nodes(v.slices, data, cfg, part)
+    drift = _drift_nodes(v.slices, data)
     g_coeffs = np.array([s.coeffs for s in data.g.slices])
     if lambda_kernel:
         q = drift - g_coeffs
@@ -407,10 +406,8 @@ def _quad_tolerance_from_nodes(q_nodes: np.ndarray, grid, T: float,
         return 10.0 * tol_fix
     d2 = q_nodes[2:] - 2.0 * q_nodes[1:-1] + q_nodes[:-2]
     axes = tuple(range(1, d2.ndim))
-    sup = 0.0
-    for row in d2:
-        vals = np.fft.ifftn(row) * grid.n**grid.d
-        sup = max(sup, float(np.abs(vals).max()))
+    vals = np.fft.ifftn(d2, axes=axes) * grid.n**grid.d
+    sup = float(np.abs(vals).max())
     return max(T * sup / 12.0, 10.0 * tol_fix)
 
 
@@ -452,6 +449,10 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
         v_next = apply_T(v, data, cfg, part, lambda_kernel=use_kernel)
         norms = _increment_norms(v_next, v, cfg, kind, part)
         sup_inc = float(norms.max())
+        if not math.isfinite(sup_inc):
+            raise PicardError(
+                f"non-finite increment at iteration {iterations} "
+                f"(sup norm {sup_inc}); the iteration diverged", ratios_raw)
         weighted_log = rho_time_norm_log(norms, v.t_grid, rho)
         if noise_log is None:
             # increments are differences of O(solution-scale) fields, so the
@@ -478,7 +479,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
             f"no convergence in {cfg.max_iter} iterations "
             f"(last increment {sup_inc:.3e})", ratios_raw)
 
-    drift = _drift_nodes(v.slices, data, cfg, part)
+    drift = _drift_nodes(v.slices, data)
     g_coeffs = np.array([s.coeffs for s in data.g.slices])
     if use_kernel:
         q = drift - g_coeffs
@@ -676,10 +677,9 @@ def weak_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     its decoupled evolution exactly (checked and reported separately) and
     contributes the extra source -slope(s) . b(s) to the periodic channel.
     Pairing against periodic test functions then carries no boundary
-    artifacts from the non-periodic linear growth.
+    artifacts from the non-periodic linear growth.  ``part`` is unused,
+    as in ``apply_T``.
     """
-    if part is None:
-        part = dyadic_partition(data.grid)
     grid = data.grid
     if test_set is None:
         test_set = default_test_fields(grid)
@@ -700,7 +700,7 @@ def weak_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     source_nodes = []
     for s, b_m, g_m in zip(slices, data.b.slices, data.g.slices):
         grad_p = gradient(s.periodic)
-        drift_nodes.append(drift_term(grad_p, b_m, cfg.alpha, cfg.beta, part).coeffs)
+        drift_nodes.append(drift_term(grad_p, b_m).coeffs)
         slope_dot_b = np.tensordot(s.slope, b_m.coeffs, axes=(0, 0))
         source_nodes.append(g_m.coeffs - slope_dot_b)
     p_nodes = [s.periodic.coeffs for s in slices]
@@ -749,12 +749,12 @@ def mild_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     independent check of the integral equation satisfied by the solution.
     """
     image = apply_T(v, data, cfg, part=part, lambda_kernel=lambda_kernel)
-    worst = 0.0
+    per_slice = []
     for a, b in zip(v.slices, image.slices):
         delta = _as_affine(a) - _as_affine(b)
-        worst = max(worst, delta.periodic.sup_norm(),
-                    float(np.abs(delta.slope).max()))
-    return worst
+        per_slice.append((delta.periodic.sup_norm(), np.abs(delta.slope).max()))
+    # np.max, not the builtin max: a NaN slice must make the residual NaN
+    return float(np.max(per_slice))
 
 
 def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,

@@ -5,10 +5,13 @@ against the package: naive DFT summation, dense pair enumeration,
 integrating-factor Runge-Kutta time stepping, bisection, quadrature.
 """
 
+import warnings
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+from besovpde import bony_product
 
 
 def naive_dft_1d(samples):
@@ -143,3 +146,24 @@ def mol_reference_1d(v_T_samples, b_samples_fn, g_samples_fn, lam, L, T,
         if (step + 1) % record_every == 0:
             snapshots.append(np.fft.ifft(w_hat).real * n)
     return snapshots
+
+
+# ---------------------------------------------------------------------------
+# drift pairing through the Bony split
+
+
+def bony_drift_pairing(w, b, alpha, beta, part=None):
+    """sum_i bony_product(w_i, alpha, b_i, beta).total for vector fields.
+
+    Unlike the rest of this module this reference runs package code: it is
+    the three-term Bony sum that the solver's one-product drift pairing
+    replaced, kept as the reference for that path.  Regularities outside
+    the product estimate's range only clear the hypothesis flag, so its
+    warning is silenced.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        terms = [bony_product(w.component(i), alpha, b.component(i), beta,
+                              part).total
+                 for i in range(w.comp_shape[0])]
+    return sum(terms[1:], terms[0])

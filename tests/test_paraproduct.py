@@ -19,6 +19,7 @@ from besovpde import (
     to_fourier,
 )
 from besovpde.lp import rho_time_norm_log
+from oracles import bony_drift_pairing
 
 
 def test_unit_of_the_product(grid128, part128):
@@ -100,29 +101,47 @@ def test_hypothesis_violation_warns(grid64, part64):
     assert np.isfinite(bp.total.sup_norm())
 
 
-def test_drift_term_zero_drift(grid64, part64):
+def test_drift_term_zero_drift(grid64):
     w = to_fourier(np.ones((1,) + grid64.shape), grid64)
     b = SpectralField.zero(grid64, (1,))
-    assert drift_term(w, b, 0.6, 0.3, part64).sup_norm() < 1e-14
+    assert drift_term(w, b).sup_norm() < 1e-14
 
 
-def test_drift_term_constant_gradient(grid128, part128):
+def test_drift_term_constant_gradient(grid128):
     x = grid128.axis_points()
     w = to_fourier(np.ones((1,) + grid128.shape), grid128)
     b = to_fourier(np.sin(x)[None, :], grid128)
-    out = drift_term(w, b, 0.6, 0.3, part128)
+    out = drift_term(w, b)
     assert (out - to_fourier(np.sin(x), grid128)).sup_norm() < 1e-13
 
 
 def test_drift_term_matches_grid_dot_product(grid2d, rng):
-    part = dyadic_partition(grid2d)
     xs = np.meshgrid(*[grid2d.axis_points()] * 2, indexing="ij")
     w = to_fourier(np.stack([np.sin(xs[0]), np.cos(xs[1])]), grid2d)
     b = to_fourier(np.stack([np.cos(2 * xs[0]), np.sin(xs[0] + xs[1])]), grid2d)
-    out = drift_term(w, b, 0.6, 0.3, part)
+    out = drift_term(w, b)
     ref = dealiased_product(w.component(0), b.component(0)) \
         + dealiased_product(w.component(1), b.component(1))
     assert (out - ref).sup_norm() < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([1, 2]), gamma_w=st.floats(-0.5, 1.5),
+       gamma_b=st.floats(-1.0, 0.5), log_amp=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 10_000))
+def test_drift_term_matches_bony_sum(d, gamma_w, gamma_b, log_amp, seed):
+    # the one-product pairing against the three-term Bony sum it replaced;
+    # tolerance 1e-12 * (1 + sup |oracle|)
+    grid = TorusGrid(d=d, n=64 if d == 1 else 16)
+    part = dyadic_partition(grid)
+    w = dyadic_random_field(grid, gamma_w, seed=(seed, 0), comp_shape=(d,),
+                            part=part)
+    b = dyadic_random_field(grid, gamma_b, seed=(seed, 1),
+                            amplitude=10.0**log_amp, comp_shape=(d,),
+                            part=part)
+    ref = bony_drift_pairing(w, b, gamma_w, -gamma_b, part)
+    gap = (drift_term(w, b) - ref).sup_norm()
+    assert gap <= 1e-12 * (1.0 + ref.sup_norm())
 
 
 def test_bony_estimate_seed_stability(grid128, part128):

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from besovpde import solver
 from besovpde import (
     AffinePeriodicField,
     PDEData,
@@ -29,8 +31,17 @@ from besovpde import (
     to_fourier,
     weak_residual,
 )
-from besovpde.solver import NewtonError, identity_component
-from oracles import bisect_inverse, gamma_by_quadrature, mol_reference_1d
+from besovpde.solver import (
+    NewtonError,
+    _quad_tolerance_from_nodes,
+    identity_component,
+)
+from oracles import (
+    bisect_inverse,
+    bony_drift_pairing,
+    gamma_by_quadrature,
+    mol_reference_1d,
+)
 
 
 def zero_vector(grid):
@@ -403,6 +414,24 @@ def test_integral_form_identity(grid64, part64):
     assert cross_res <= 10.0 * max(res.quad_tolerance, 1e-8)
 
 
+def test_mild_residual_is_nan_on_a_poisoned_slice(grid64, part64):
+    T, M = 1.0, 16
+    mesh = TimeField.uniform_mesh(T, M)
+    x = grid64.axis_points()
+    b = static_drift(grid64, mesh, np.sin(x)[None, :])
+    data = make_data(grid64, mesh, b=b, v_T=to_fourier(np.sin(x), grid64))
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=8.0)
+    res = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+    assert mild_residual(res.v, data, cfg, part=part64) <= 5.0 * cfg.tol_fix
+    slices = list(res.v.slices)
+    coeffs = slices[5].periodic.coeffs.copy()
+    coeffs[3] = np.nan
+    slices[5] = AffinePeriodicField(slices[5].slope,
+                                    SpectralField(grid64, coeffs))
+    poisoned = TimeField(mesh, slices)
+    assert not np.isfinite(mild_residual(poisoned, data, cfg, part=part64))
+
+
 def test_boundedness_of_u(grid64, part64):
     T, M, lam = 1.0, 32, 3.0
     mesh = TimeField.uniform_mesh(T, M)
@@ -432,6 +461,54 @@ def test_picard_error_carries_ratio_history(grid64, part64):
     with pytest.raises(PicardError) as err:
         solve_mild(data, cfg, part=part64)
     assert len(err.value.ratios) >= 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_iteration_fails_fast(grid64, part64):
+    # the increments overflow; the iteration stops there, not at max_iter
+    T, M = 0.5, 16
+    mesh = TimeField.uniform_mesh(T, M)
+    x = grid64.axis_points()
+    b = static_drift(grid64, mesh, (1e4 * np.sin(x))[None, :])
+    data = make_data(grid64, mesh, b=b, v_T=to_fourier(np.sin(x), grid64))
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=1.0)
+    with pytest.raises(PicardError, match="non-finite increment") as err:
+        solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+    stopped = int(re.search(r"at iteration (\d+)", str(err.value)).group(1))
+    assert stopped < cfg.max_iter
+
+
+def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
+    # a whole solve with the one-product drift pairing against the same
+    # solve through the Bony sum it replaced; tolerance 10 * tol_fix
+    T, M = 0.5, 16
+    mesh = TimeField.uniform_mesh(T, M)
+    x = grid64.axis_points()
+    b0 = dyadic_random_field(grid64, -0.3, seed=41, comp_shape=(1,),
+                             part=part64)
+    v_T = AffinePeriodicField(np.array([0.5]), to_fourier(np.sin(x), grid64))
+    data = make_data(grid64, mesh, b=TimeField(mesh, [b0] * (M + 1)), v_T=v_T)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=8.0)
+    fast = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+    monkeypatch.setattr(solver, "drift_term", lambda w, b: bony_drift_pairing(
+        w, b, cfg.alpha, cfg.beta, part64))
+    slow = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+    gap = max(max((a.periodic - b.periodic).sup_norm(),
+                  float(np.abs(a.slope - b.slope).max()))
+              for a, b in zip(fast.v.slices, slow.v.slices))
+    assert gap <= 10.0 * cfg.tol_fix
+
+
+@pytest.mark.parametrize("shape", [(17, 64), (9, 16, 16)])
+def test_quad_tolerance_batched_transform_is_exact(rng, shape):
+    # one batched inverse transform against the per-row loop it replaced
+    grid = TorusGrid(d=len(shape) - 1, n=shape[-1])
+    q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    d2 = q[2:] - 2.0 * q[1:-1] + q[:-2]
+    sup = max(float(np.abs(np.fft.ifftn(row) * grid.n**grid.d).max())
+              for row in d2)
+    expected = max(1.0 * sup / 12.0, 10.0 * 1e-10)
+    assert _quad_tolerance_from_nodes(q, grid, 1.0, 1e-10) == expected
 
 
 # ---------------------------------------------------------------------------
