@@ -5,6 +5,14 @@ cutoff chi equal to 1 below ring radius 3/4 and 0 above 4/3, with
 phi_{-1}(k) = chi(r) and phi_j(k) = chi(r/2^{j+1}) - chi(r/2^j), where
 r = |k| L / (2 pi).  The windows sum to 1 on every lattice frequency by
 construction; ring supports are [3/4 * 2^j, 8/3 * 2^j].
+
+The norms are computed on coefficient stacks ``(N,) + comp_shape + grid``:
+``block_sup_stack`` returns the (N, J+2) block sup norms of N fields,
+measured on the twice-refined grid through ``grid.sup_norms`` in chunks of
+(field, block) pairs of at most ``grid.CHUNK_BYTES`` padded input, and
+``besov_norms``, ``dc_norms`` and ``c1plus_norms`` build on it.  The
+single-field estimators (``besov_norm``, ``dc_norm``, ``c1plus_norm``) are
+their one-row cases.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ from .grid import (
     SpectralField,
     TimeField,
     TorusGrid,
+    chunk_rows,
     evaluate_at,
-    gradient,
+    gradient_stack,
+    sup_norms,
 )
 
 __all__ = [
@@ -31,10 +41,14 @@ __all__ = [
     "LPDecomposition",
     "BesovNorm",
     "lp_blocks",
+    "block_sup_stack",
     "besov_norm",
+    "besov_norms",
     "holder_norm",
     "dc_norm",
+    "dc_norms",
     "c1plus_norm",
+    "c1plus_norms",
     "rho_time_norm",
     "rho_time_norm_log",
     "slice_norm",
@@ -143,11 +157,29 @@ def lp_blocks(f: SpectralField, part: DyadicPartition = None) -> LPDecomposition
     return LPDecomposition(partition=part, blocks=blocks)
 
 
-def block_sup_norms(f: SpectralField, part: DyadicPartition = None,
-                    refine: int = 2) -> np.ndarray:
-    """Sup norm of every block, evaluated on the refine-times finer grid."""
-    dec = lp_blocks(f, part)
-    return np.array([b.sup_norm(refine=refine) for b in dec.blocks])
+def block_sup_stack(coeffs: np.ndarray, part: DyadicPartition,
+                    real: bool = True, refine: int = 2) -> np.ndarray:
+    """Block sup norms of a ``(N,) + comp_shape + grid`` coefficient stack.
+
+    Entry (i, j + 1) is ``||Delta_j f_i||_inf`` on the ``refine``-times
+    finer grid.  The N * (J+2) (field, block) pairs are windowed and
+    measured ``chunk_rows`` at a time, so one batched transform replaces
+    many small ones without the memory traffic of padding every block of a
+    whole path at once.
+    """
+    g = part.grid
+    if coeffs.shape[coeffs.ndim - g.d:] != g.shape:
+        raise GridError("coefficients and partition live on different grids")
+    n_blocks = len(part.windows)
+    window_shape = (1,) * (coeffs.ndim - 1 - g.d) + g.shape
+    pairs = chunk_rows(coeffs.shape[1:], g, refine)
+    total = len(coeffs) * n_blocks
+    out = np.empty(total)
+    for lo in range(0, total, pairs):
+        node, block = np.divmod(np.arange(lo, min(lo + pairs, total)), n_blocks)
+        windows = part.windows[block].reshape((len(block),) + window_shape)
+        out[lo:lo + pairs] = sup_norms(coeffs[node] * windows, g, real, refine)
+    return out.reshape(len(coeffs), n_blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,16 +208,20 @@ def besov_norm(f: SpectralField, gamma: float,
     """Besov-Holder norm estimator; any real gamma, negative included."""
     if part is None:
         part = dyadic_partition(f.grid)
-    sups = block_sup_norms(f, part, refine=refine)
+    if part.grid != f.grid:
+        raise GridError("field and partition live on different grids")
+    sups = block_sup_stack(f.coeffs[None], part, f.real, refine)[0]
     j = part.j_indices
     ledger = 2.0 ** (j * gamma) * sups
     return BesovNorm(gamma=gamma, value=float(ledger.max()), ledger=ledger,
                      block_sups=sups, j_indices=j)
 
 
-def besov_value(f: SpectralField, gamma: float,
-                part: DyadicPartition = None) -> float:
-    return besov_norm(f, gamma, part).value
+def besov_norms(coeffs: np.ndarray, gamma: float, part: DyadicPartition,
+                real: bool = True) -> np.ndarray:
+    """``besov_norm(f, gamma, part).value`` of every row of a stack."""
+    ledger = 2.0 ** (part.j_indices * gamma) * block_sup_stack(coeffs, part, real)
+    return ledger.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +300,26 @@ def dc_norm(f: AffinePeriodicField, alpha: float,
         f = AffinePeriodicField.from_periodic(f)
     if f.comp_shape != ():
         raise GridError("dc_norm expects a scalar field")
-    origin = float(np.abs(evaluate_at(f, np.zeros(f.grid.d))))
-    grad = f.gradient_field()
-    return origin + besov_norm(grad, alpha, part).value
+    if part is None:
+        part = dyadic_partition(f.grid)
+    return float(dc_norms(f.slope[None], f.periodic.coeffs[None], alpha, part,
+                          f.periodic.real)[0])
+
+
+def dc_norms(slopes: np.ndarray, coeffs: np.ndarray, alpha: float,
+             part: DyadicPartition, real: bool = True) -> np.ndarray:
+    """``dc_norm`` of every scalar field ``slopes[i] . x + p_i``.
+
+    ``slopes`` is (N, d) and ``coeffs`` the (N,) + grid coefficients of
+    the periodic parts.
+    """
+    g = part.grid
+    zero = np.zeros(g.d)
+    origin = np.array([
+        np.abs(evaluate_at(SpectralField(g, c, real=real), zero) + s @ zero)
+        for s, c in zip(slopes, coeffs)])
+    grad = gradient_stack(coeffs, g, slopes)
+    return origin + besov_norms(grad, alpha, part, real)
 
 
 def c1plus_norm(f, alpha: float, part: DyadicPartition = None) -> float:
@@ -275,7 +328,17 @@ def c1plus_norm(f, alpha: float, part: DyadicPartition = None) -> float:
         if np.any(f.slope != 0.0):
             raise GridError("c1plus_norm expects a bounded (zero-slope) field")
         f = f.periodic
-    return f.sup_norm() + besov_norm(gradient(f), alpha, part).value
+    if part is None:
+        part = dyadic_partition(f.grid)
+    return float(c1plus_norms(f.coeffs[None], alpha, part, f.real)[0])
+
+
+def c1plus_norms(coeffs: np.ndarray, alpha: float, part: DyadicPartition,
+                 real: bool = True) -> np.ndarray:
+    """``c1plus_norm`` of every row of a ``(N,) + grid`` scalar stack."""
+    g = part.grid
+    return (sup_norms(coeffs, g, real)
+            + besov_norms(gradient_stack(coeffs, g), alpha, part, real))
 
 
 def slice_norm(s, kind: str, exponent: float,
@@ -301,7 +364,7 @@ def rho_time_norm(v: TimeField, rho: float, kind: str, exponent: float,
     T = v.T
     vals = [math.exp(-rho * (T - t)) * slice_norm(s, kind, exponent, part)
             for t, s in zip(v.t_grid, v.slices)]
-    return max(vals)
+    return float(np.max(vals))   # not the builtin max, which drops a NaN
 
 
 def rho_time_norm_log(norms: np.ndarray, t_grid: np.ndarray,

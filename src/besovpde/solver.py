@@ -35,12 +35,16 @@ from .grid import (
     TimeField,
     evaluate_at,
     gradient,
+    gradient_stack,
+    sup_norms,
 )
 from .lp import (
     DyadicPartition,
-    besov_norm,
+    besov_norm,  # noqa: F401  (unused; perfbench/selftest.py traces this binding)
+    besov_norms,
     c1plus_norm,
-    dc_norm,
+    c1plus_norms,
+    dc_norms,
     dyadic_partition,
     rho_time_norm_log,
 )
@@ -72,6 +76,11 @@ __all__ = [
 
 class SolverError(RuntimeError):
     pass
+
+
+# A Picard run stops as diverging after this many consecutive contraction
+# ratios above 1 (counting only ratios above the rounding floor).
+DIVERGENCE_STREAK = 3
 
 
 class PicardError(SolverError):
@@ -271,11 +280,22 @@ def lambda_threshold(b: TimeField, cfg: SolverConfig, c_cal: float,
         raise SolverError("lambda_threshold needs theta < 1")
     if part is None:
         part = dyadic_partition(b.grid)
-    norm_b = max(besov_norm(s, -cfg.beta + cfg.eps, part).value for s in b.slices)
+    norm_b = _path_besov_norm(b, -cfg.beta + cfg.eps, part, "drift")
     if norm_b == 0.0:
         return 0.0
     big_c = 3.0 * c_cal * math.gamma(1.0 - theta)
     return (big_c * norm_b) ** (1.0 / (1.0 - theta))
+
+
+def _path_besov_norm(tf: TimeField, gamma: float, part: DyadicPartition,
+                     name: str) -> float:
+    """max over the mesh nodes of ||s||_gamma; raises when not finite."""
+    coeffs = np.array([s.coeffs for s in tf.slices])
+    real = all(s.real for s in tf.slices)
+    norm = float(np.max(besov_norms(coeffs, gamma, part, real)))
+    if not math.isfinite(norm):
+        raise SolverError(f"{name} norm in C^{gamma:g} is not finite ({norm})")
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +343,12 @@ def _as_affine(s) -> AffinePeriodicField:
     return s
 
 
+def _periodic_stack(v: TimeField):
+    """(M+1,) + grid coefficients of the periodic parts, and their real flag."""
+    parts = [_as_affine(s).periodic for s in v.slices]
+    return np.array([p.coeffs for p in parts]), all(p.real for p in parts)
+
+
 def _drift_nodes(v_slices, data: PDEData):
     """drift_term(grad v(t_m), b(t_m)) for every node, as coefficient rows."""
     out = []
@@ -362,8 +388,7 @@ def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
         q = drift - g_coeffs
         mu = cfg.lam + 0.5 * g.k_squared()
     else:
-        p_coeffs = np.array([_as_affine(s).periodic.coeffs for s in v.slices])
-        q = drift - cfg.lam * p_coeffs - g_coeffs
+        q = drift - cfg.lam * _periodic_stack(v)[0] - g_coeffs
         mu = 0.5 * g.k_squared()
     integrals = _duhamel_sweep(q, mu, dt)
     slope_T = v_T.slope
@@ -388,15 +413,16 @@ def _zero_iterate(data: PDEData, cfg: SolverConfig) -> TimeField:
 
 def _increment_norms(v_new: TimeField, v_old: TimeField, cfg: SolverConfig,
                      kind: str, part: DyadicPartition) -> np.ndarray:
-    norms = []
-    for a, b in zip(v_new.slices, v_old.slices):
-        delta = _as_affine(a) - _as_affine(b)
-        if kind == "dc":
-            norms.append(dc_norm(delta, cfg.alpha, part))
-        else:
-            origin_free = delta.periodic
-            norms.append(c1plus_norm(origin_free, cfg.alpha, part))
-    return np.asarray(norms)
+    """dc or c1plus norm of every slice of v_new - v_old, as one stack."""
+    p_new, real_new = _periodic_stack(v_new)
+    p_old, real_old = _periodic_stack(v_old)
+    dp = p_new - p_old
+    real = real_new and real_old
+    if kind == "dc":
+        dslope = (np.array([_as_affine(s).slope for s in v_new.slices])
+                  - np.array([_as_affine(s).slope for s in v_old.slices]))
+        return dc_norms(dslope, dp, cfg.alpha, part, real)
+    return c1plus_norms(dp, cfg.alpha, part, real)
 
 
 def _quad_tolerance_from_nodes(q_nodes: np.ndarray, grid, T: float,
@@ -431,7 +457,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
             raise SolverError(
                 "rho='auto' needs a calibration; run calibrate first or "
                 "pass rho explicitly")
-        b_norm = max(besov_norm(s, -cfg.beta, part).value for s in data.b.slices)
+        b_norm = _path_besov_norm(data.b, -cfg.beta, part, "drift")
         rho = select_rho(cfg, b_norm, contraction_constant(calibration, cfg))
     rho = float(rho)
     kind = "dc" if data.is_affine else "c1plus"
@@ -442,6 +468,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     ratios_raw = []
     prev_log = None
     noise_log = None
+    streak = 0      # consecutive useful ratios above 1
     weighted_log = float("inf")
     sup_inc = float("inf")
     iterations = 0
@@ -468,8 +495,16 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
             else:
                 raw = math.exp(weighted_log - prev_log)
             ratios_raw.append(raw)
-            if min(prev_log, weighted_log) > noise_log + math.log(3.0):
+            useful = min(prev_log, weighted_log) > noise_log + math.log(3.0)
+            if useful:
                 ratios.append(raw)
+            streak = streak + 1 if useful and raw > 1.0 else 0
+            if streak >= DIVERGENCE_STREAK:
+                raise PicardError(
+                    f"contraction ratio above 1 for {DIVERGENCE_STREAK} "
+                    f"consecutive iterations at iteration {iterations} "
+                    f"(last ratio {raw:.3e}); the iteration diverges",
+                    ratios_raw)
         prev_log = weighted_log
         v = v_next
         if sup_inc <= cfg.tol_fix:
@@ -484,8 +519,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     if use_kernel:
         q = drift - g_coeffs
     else:
-        p_coeffs = np.array([_as_affine(s).periodic.coeffs for s in v.slices])
-        q = drift - cfg.lam * p_coeffs - g_coeffs
+        q = drift - cfg.lam * _periodic_stack(v)[0] - g_coeffs
     quad_tol = _quad_tolerance_from_nodes(q, data.grid, cfg.T, cfg.tol_fix)
 
     result = SolveResult(
@@ -563,16 +597,12 @@ def build_phi(b: TimeField, cfg: SolverConfig, part: DyadicPartition = None,
         part = dyadic_partition(b.grid)
     g = b.grid
     results = [solve_u(b, i, cfg, part=part, **kwargs) for i in range(g.d)]
-    slices = []
-    grad_sup = 0.0
-    for m in range(len(b.t_grid)):
-        coeffs = np.stack([
-            _as_affine(results[i].v[m]).periodic.coeffs for i in range(g.d)
-        ])
-        u_m = SpectralField(g, coeffs)
-        grad_sup = max(grad_sup, gradient(u_m).sup_norm())
-        slices.append(AffinePeriodicField(np.eye(g.d), u_m))
-    phi = TimeField(b.t_grid, slices)
+    # (M+1, d) + grid: component i of u at every node
+    u = np.stack([_periodic_stack(r.v)[0] for r in results], axis=1)
+    grad_sup = float(np.max(sup_norms(gradient_stack(u, g), g)))
+    phi = TimeField(b.t_grid, [AffinePeriodicField(np.eye(g.d),
+                                                   SpectralField(g, u_m))
+                               for u_m in u])
 
     corollary = float("nan")
     if check_corollary:
@@ -773,10 +803,10 @@ def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,
         part = dyadic_partition(data.grid)
     if result is None:
         result = solve_mild(data, cfg, part=part, compute_weak_residual=False)
-    lhs = max(c1plus_norm(_as_affine(s).periodic, cfg.alpha, part)
-              for s in result.v.slices)
-    b_norm = max(besov_norm(s, -cfg.beta, part).value for s in data.b.slices)
-    g_norm = max(besov_norm(s, -cfg.beta, part).value for s in data.g.slices)
+    p, real = _periodic_stack(result.v)
+    lhs = float(np.max(c1plus_norms(p, cfg.alpha, part, real)))
+    b_norm = _path_besov_norm(data.b, -cfg.beta, part, "drift")
+    g_norm = _path_besov_norm(data.g, -cfg.beta, part, "source")
     vt_norm = c1plus_norm(data.v_T.periodic, cfg.alpha, part)
     theta_p = (1.0 - cfg.alpha - cfg.beta) / 2.0
     # R_lambda is a double exponential in the drift norm; both sides are
@@ -785,7 +815,8 @@ def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,
                  + (2.0 * c_cal * (cfg.lam + b_norm)) ** (1.0 / theta_p) * cfg.T
                  + max(0.0, -math.log(cfg.lam)))
     log_rhs = log_r_lam + math.log(vt_norm + g_norm)
-    log_lhs = math.log(lhs) if lhs > 0 else -math.inf
+    # a NaN lhs gives a NaN log, and the bound then does not hold
+    log_lhs = math.log(lhs) if lhs != 0.0 else -math.inf
     slack_log = log_rhs - log_lhs
     return {
         "lhs": lhs,

@@ -11,7 +11,14 @@ from math import comb
 
 import numpy as np
 
-from besovpde import bony_product
+from besovpde import (
+    AffinePeriodicField,
+    SpectralField,
+    bony_product,
+    evaluate_at,
+    gradient,
+)
+from besovpde.grid import refined_samples
 
 
 def naive_dft_1d(samples):
@@ -167,3 +174,59 @@ def bony_drift_pairing(w, b, alpha, beta, part=None):
                               part).total
                  for i in range(w.comp_shape[0])]
     return sum(terms[1:], terms[0])
+
+
+# ---------------------------------------------------------------------------
+# norms one field and one block at a time
+
+
+def _sup_of_samples(vals, comp_shape, d):
+    """Largest pointwise Euclidean magnitude of a field's samples."""
+    if comp_shape:
+        flat = vals.reshape((-1,) + vals.shape[-d:])
+        return float(np.sqrt(np.sum(np.abs(flat) ** 2, axis=0)).max())
+    return float(np.abs(vals).max())
+
+
+def per_block_sup_norms(f, part, refine=2):
+    """Sup norm of every dyadic block of one field, one block at a time.
+
+    Package code again: the per-block loop that the stacked, chunked
+    ``lp.block_sup_stack`` replaced, with the sup norm written out over
+    ``refined_samples`` of each windowed block.
+    """
+    return np.array([
+        _sup_of_samples(
+            refined_samples(SpectralField(f.grid, f.coeffs * w, real=f.real),
+                            refine),
+            f.comp_shape, f.grid.d)
+        for w in part.windows])
+
+
+def per_slice_increment_norms(v_new, v_old, cfg, kind, part):
+    """The Picard increment norms, one slice difference at a time.
+
+    ``dc``: |dv(0)| + ||slope + grad dp||_alpha; ``c1plus``:
+    sup |dp| + ||grad dp||_alpha, each Besov norm through
+    ``per_block_sup_norms``.  The per-slice loop the solver's stacked
+    increment norms replaced.
+    """
+    def affine(s):
+        if isinstance(s, SpectralField):
+            return AffinePeriodicField.from_periodic(s)
+        return s
+
+    norms = []
+    for a, b in zip(v_new.slices, v_old.slices):
+        delta = affine(a) - affine(b)
+        d = delta.grid.d
+        if kind == "dc":
+            origin = float(np.abs(evaluate_at(delta, np.zeros(d))))
+            grad = delta.gradient_field()
+        else:
+            origin = _sup_of_samples(refined_samples(delta.periodic, 2), (), d)
+            grad = gradient(delta.periodic)
+        sups = per_block_sup_norms(grad, part)
+        norms.append(origin
+                     + float(np.max(2.0 ** (part.j_indices * cfg.alpha) * sups)))
+    return np.asarray(norms)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovpde import (
     AffinePeriodicField,
@@ -16,7 +20,9 @@ from besovpde import (
     rho_time_norm,
     to_fourier,
 )
-from oracles import dense_holder_norm_1d
+from besovpde.grid import CHUNK_BYTES, sup_norms
+from besovpde.lp import block_sup_stack
+from oracles import dense_holder_norm_1d, per_block_sup_norms
 
 RING_LOW, RING_HIGH = 0.75, 4.0 / 3.0
 
@@ -58,6 +64,57 @@ def test_block_sum_reconstructs(grid128, part128, rng):
     f = to_fourier(rng.standard_normal(grid128.shape), grid128)
     rec = lp_blocks(f, part128).reconstruct()
     assert (rec - f).sup_norm() < 1e-12 * max(f.sup_norm(), 1.0)
+
+
+def _random_stack(grid, comp_shape, real, rows, seed):
+    """(rows,) + comp_shape + grid coefficients of random fields."""
+    rng = np.random.default_rng(seed)
+    shape = (rows,) + comp_shape + grid.shape
+    if real:
+        axes = tuple(range(len(shape) - grid.d, len(shape)))
+        return np.fft.fftn(rng.standard_normal(shape), axes=axes) / grid.n**grid.d
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dn=st.sampled_from([(1, 8), (1, 64), (2, 8), (2, 16), (3, 8)]),
+       vector=st.booleans(), real=st.booleans(),
+       rows=st.integers(1, 7), seed=st.integers(0, 10_000))
+def test_block_sup_stack_equals_per_block_loop(dn, vector, real, rows, seed):
+    # the stacked, chunked kernel against one field and one block at a
+    # time; same arithmetic per entry, so the tolerance is exact equality
+    d, n = dn
+    grid = TorusGrid(d=d, n=n)
+    part = dyadic_partition(grid)
+    comp_shape = (d,) if vector else ()
+    coeffs = _random_stack(grid, comp_shape, real, rows, seed)
+    fields = [SpectralField(grid, c, real=real) for c in coeffs]
+    expected = np.array([per_block_sup_norms(f, part) for f in fields])
+    assert np.array_equal(block_sup_stack(coeffs, part, real), expected)
+    assert np.array_equal(sup_norms(coeffs, grid, real),
+                          np.array([f.sup_norm() for f in fields]))
+
+
+def test_block_sup_stack_stays_within_chunk_budget(monkeypatch):
+    # every padded batch the kernel transforms fits in CHUNK_BYTES, and the
+    # batches together cover every (node, block) pair once
+    grid = TorusGrid(d=2, n=16)
+    part = dyadic_partition(grid)
+    coeffs = _random_stack(grid, (2,), True, 33, seed=4)
+    inputs = []
+    ifftn = np.fft.ifftn
+
+    def spy(a, *args, **kwargs):
+        inputs.append(a.shape)
+        assert a.nbytes <= CHUNK_BYTES, a.shape
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", spy)
+    sups = block_sup_stack(coeffs, part)
+    assert sups.shape == (33, len(part.windows))
+    assert sum(shape[0] for shape in inputs) == sups.size
+    assert max(shape[0] for shape in inputs) > 1
+    assert all(shape[1:] == (2, 32, 32) for shape in inputs)
 
 
 def test_besov_zero_field(grid64, part64):
@@ -192,6 +249,16 @@ def test_dyadic_random_field_saturates(grid128, part128):
     f = dyadic_random_field(grid128, -0.3, seed=9, part=part128)
     val = besov_norm(f, -0.3, part128).value
     assert 0.5 <= val <= 2.0
+
+
+def test_rho_time_norm_keeps_a_nan_slice(grid64, part64):
+    fields = [dyadic_random_field(grid64, 0.5, seed=s, part=part64)
+              for s in range(5)]
+    coeffs = fields[2].coeffs.copy()
+    coeffs[3] = np.nan
+    fields[2] = SpectralField(grid64, coeffs)
+    tf = TimeField(TimeField.uniform_mesh(1.0, 4), fields)
+    assert math.isnan(rho_time_norm(tf, 0.0, "besov", 0.5, part64))
 
 
 def test_rho_time_norm_other_kinds(grid64, part64):

@@ -36,11 +36,13 @@ from besovpde.solver import (
     _quad_tolerance_from_nodes,
     identity_component,
 )
+from besovpde.calibration import pair_key
 from oracles import (
     bisect_inverse,
     bony_drift_pairing,
     gamma_by_quadrature,
     mol_reference_1d,
+    per_slice_increment_norms,
 )
 
 
@@ -65,6 +67,20 @@ def make_data(grid, mesh, b=None, g=None, v_T=None):
 
 def static_drift(grid, mesh, samples):
     return TimeField(mesh, [to_fourier(samples, grid)] * len(mesh))
+
+
+def nan_in_slice(tf, m=2):
+    """A copy of the path with one NaN coefficient in slice m."""
+    slices = list(tf.slices)
+    s = slices[m]
+    periodic = s.periodic if isinstance(s, AffinePeriodicField) else s
+    coeffs = periodic.coeffs.copy()
+    coeffs[(...,) + (3,) * periodic.grid.d] = np.nan
+    poisoned = SpectralField(periodic.grid, coeffs, real=periodic.real)
+    if isinstance(s, AffinePeriodicField):
+        poisoned = AffinePeriodicField(s.slope, poisoned)
+    slices[m] = poisoned
+    return TimeField(tf.t_grid, slices)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +139,23 @@ def test_lambda_threshold_scaling(grid64, part64):
     l1 = lambda_threshold(b, cfg, 1.5, part64)
     l2 = lambda_threshold(b2, cfg, 1.5, part64)
     assert abs(l2 / l1 - 2.0 ** (1.0 / (1.0 - cfg.theta))) < 1e-9
+
+
+def test_drift_norm_with_a_nan_slice_raises(grid64, part64):
+    # NaN in slice 2 of 5: the builtin max() dropped it and returned the
+    # clean norm; the path norm is NaN and parameter selection stops
+    mesh = TimeField.uniform_mesh(1.0, 4)
+    b0 = dyadic_random_field(grid64, -0.3, seed=7, comp_shape=(1,),
+                             part=part64)
+    b = nan_in_slice(TimeField(mesh, [b0] * 5))
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=1.0, M=4, rho="auto")
+    with pytest.raises(SolverError, match="drift norm .* not finite"):
+        lambda_threshold(b, cfg, c_cal=1.0, part=part64)
+    calibration = {"convolution": 1.0,
+                   "bony": {pair_key(cfg.alpha, cfg.beta): 1.0}}
+    with pytest.raises(SolverError, match="drift norm .* not finite"):
+        solve_mild(make_data(grid64, mesh, b=b), cfg, part=part64,
+                   calibration=calibration, compute_weak_residual=False)
 
 
 def test_lambda_threshold_gamma_value(grid64, part64):
@@ -463,19 +496,76 @@ def test_picard_error_carries_ratio_history(grid64, part64):
     assert len(err.value.ratios) >= 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_iteration_fails_fast(grid64, part64):
-    # the increments overflow; the iteration stops there, not at max_iter
+    # contraction ratios ~1e3 from the start: the run stops after three of
+    # them, long before the increments overflow (iteration 50 of 60)
     T, M = 0.5, 16
     mesh = TimeField.uniform_mesh(T, M)
     x = grid64.axis_points()
     b = static_drift(grid64, mesh, (1e4 * np.sin(x))[None, :])
     data = make_data(grid64, mesh, b=b, v_T=to_fourier(np.sin(x), grid64))
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=1.0)
-    with pytest.raises(PicardError, match="non-finite increment") as err:
+    with pytest.raises(PicardError, match="contraction ratio above 1 for 3 "
+                       "consecutive iterations") as err:
         solve_mild(data, cfg, part=part64, compute_weak_residual=False)
     stopped = int(re.search(r"at iteration (\d+)", str(err.value)).group(1))
-    assert stopped < cfg.max_iter
+    assert stopped <= 5
+    assert all(r > 1.0 for r in err.value.ratios[-3:])
+
+
+def test_non_finite_increment_fails_fast(grid64, part64):
+    T, M = 0.5, 16
+    mesh = TimeField.uniform_mesh(T, M)
+    x = grid64.axis_points()
+    data = make_data(grid64, mesh, b=static_drift(grid64, mesh,
+                                                  np.sin(x)[None, :]))
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=1.0)
+    v0 = nan_in_slice(TimeField(mesh, [zero_scalar(grid64)] * (M + 1)))
+    with pytest.raises(PicardError, match="non-finite increment at "
+                       "iteration 1"):
+        solve_mild(data, cfg, part=part64, v0=v0, compute_weak_residual=False)
+
+
+def _affine_rough_1d(grid, part, M=16):
+    mesh = TimeField.uniform_mesh(0.5, M)
+    x = grid.axis_points()
+    b0 = dyadic_random_field(grid, -0.3, seed=41, comp_shape=(1,), part=part)
+    v_T = AffinePeriodicField(np.array([0.5]), to_fourier(np.sin(x), grid))
+    return make_data(grid, mesh, b=TimeField(mesh, [b0] * (M + 1)), v_T=v_T)
+
+
+def _bounded_modulated_2d(M=8):
+    grid = TorusGrid(d=2, n=16)
+    part = dyadic_partition(grid)
+    mesh = TimeField.uniform_mesh(0.5, M)
+    xs = np.meshgrid(*[grid.axis_points()] * 2, indexing="ij")
+    b0 = dyadic_random_field(grid, -0.3, seed=43, comp_shape=(2,), part=part)
+    b = TimeField(mesh, [(1.0 + 0.5 * math.sin(3.0 * t)) * b0 for t in mesh])
+    v_T = to_fourier(np.sin(xs[0]) * np.cos(xs[1]), grid)
+    return make_data(grid, mesh, b=b, v_T=v_T), part
+
+
+@pytest.mark.parametrize("case", ["affine-1d", "bounded-2d"])
+def test_stacked_increment_norms_match_per_slice_loop(grid64, part64,
+                                                      monkeypatch, case):
+    # the same solve with the increment norms taken one slice at a time;
+    # the arithmetic is the same, so everything must agree bit for bit
+    if case == "affine-1d":
+        data, part = _affine_rough_1d(grid64, part64), part64
+    else:
+        data, part = _bounded_modulated_2d()
+    M = data.b.M
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=M, lam=0.0, rho=8.0)
+    fast = solve_mild(data, cfg, part=part, compute_weak_residual=False)
+    assert fast.norm_kind == ("dc" if case == "affine-1d" else "c1plus")
+    monkeypatch.setattr(solver, "_increment_norms", per_slice_increment_norms)
+    slow = solve_mild(data, cfg, part=part, compute_weak_residual=False)
+    assert fast.iterations == slow.iterations
+    assert fast.ratios_raw == slow.ratios_raw
+    assert fast.final_increment_sup == slow.final_increment_sup
+    for a, b in zip(fast.v.slices, slow.v.slices):
+        assert np.array_equal(a.periodic.coeffs, b.periodic.coeffs)
+        assert np.array_equal(a.slope, b.slope)
 
 
 def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
@@ -548,6 +638,27 @@ def test_build_phi_smooth_drift(grid64, part64):
         fwd = s.slope @ xs + evaluate_at(s.periodic, xs)
         worst = max(worst, float(np.abs(fwd - y).max()))
     assert worst <= 1e-10
+
+
+def test_build_phi_gradient_sup_keeps_a_nan_slice(grid64, part64,
+                                                  monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN slice of u used to pass the certificate
+    mesh = TimeField.uniform_mesh(1.0, 4)
+    x = grid64.axis_points()
+    b = static_drift(grid64, mesh, (0.5 * np.sin(x))[None, :])
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=1.0, M=4, lam=8.0, rho=10.0)
+    clean = build_phi(b, cfg, part=part64, check_corollary=False)
+    assert 0.0 < clean.grad_sup <= 0.5
+    solve_u = solver.solve_u
+
+    def poisoned_solve_u(*args, **kwargs):
+        res = solve_u(*args, **kwargs)
+        res.v = nan_in_slice(res.v)
+        return res
+
+    monkeypatch.setattr(solver, "solve_u", poisoned_solve_u)
+    res = build_phi(b, cfg, part=part64, check_corollary=False)
+    assert math.isnan(res.grad_sup)
 
 
 def test_invert_phi_toy_vs_bisection(grid256):
@@ -642,6 +753,24 @@ def test_rlambda_bound_trivial_and_monotone(grid64, part64):
 
     grid_vals = [log_r_lam(v) for v in np.linspace(0.0, 2.0, 7)]
     assert all(a < b for a, b in zip(grid_vals, grid_vals[1:]))
+
+
+def test_rlambda_bound_with_a_nan_slice(grid64, part64):
+    T, M, lam = 1.0, 4, 1.0
+    mesh = TimeField.uniform_mesh(T, M)
+    x = grid64.axis_points()
+    data = make_data(grid64, mesh, b=static_drift(grid64, mesh,
+                                                  np.sin(x)[None, :]),
+                     v_T=to_fourier(np.sin(x), grid64))
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=lam, rho=8.0)
+    res = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+    assert rlambda_bound_check(data, cfg, 1.0, result=res, part=part64)["holds"]
+    res.v = nan_in_slice(res.v)
+    rep = rlambda_bound_check(data, cfg, 1.0, result=res, part=part64)
+    assert math.isnan(rep["lhs"]) and not rep["holds"]
+    bad = PDEData(b=nan_in_slice(data.b), g=data.g, v_T=data.v_T)
+    with pytest.raises(SolverError, match="drift norm .* not finite"):
+        rlambda_bound_check(bad, cfg, 1.0, result=res, part=part64)
 
 
 def test_smooth_drift_bound_has_slack(grid64, part64):
