@@ -422,8 +422,8 @@ def cmd_study_continuity_v(conf, args, out: Path):
     grid, part, mesh, b, cfg, calib, eps_list = _study_common(conf, args)
     if cfg.rho == "auto":
         from .calibration import contraction_constant
-        from .solver import select_rho
-        b_norm = max(besov_norm(s, -cfg.beta, part).value for s in b.slices)
+        from .solver import _path_besov_norm, select_rho
+        b_norm = _path_besov_norm(b, -cfg.beta, part, "drift")
         cfg = _solver_config(conf, lam=cfg.lam,
                              rho=select_rho(cfg, b_norm,
                                             contraction_constant(calib, cfg)))

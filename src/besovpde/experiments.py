@@ -36,6 +36,7 @@ from .solver import (
     PDEData,
     SolveResult,
     SolverConfig,
+    _path_besov_norm,
     invert_phi,
     solve_mild,
     solve_u,
@@ -214,22 +215,23 @@ def continuity_study_v(b: TimeField, g: TimeField, v_T, cfg: SolverConfig,
     premise = []
     err_v, err_grad = [], []
     gamma_data = -cfg.beta
+    varied_name = "drift" if vary == "b" else "source"
     for eps in eps_list:
         data = data_for(eps)
         varied = data.b if vary == "b" else data.g
         target = ref_data.b if vary == "b" else ref_data.g
-        premise.append(max(
-            besov_norm(a - c, gamma_data, part).value
-            for a, c in zip(varied.slices, target.slices)))
+        gap = TimeField(b.t_grid, [a - c for a, c in zip(varied.slices,
+                                                          target.slices)])
+        premise.append(_path_besov_norm(gap, gamma_data, part,
+                                        f"{varied_name} premise"))
         sol = _solve(data, cfg, part)
-        ev, eg = 0.0, 0.0
-        for m in range(len(b.t_grid)):
-            delta = sol.v[m] - ref.v[m]
-            ev = max(ev, dc_norm(delta, cfg.alpha, part))
-            eg = max(eg, besov_norm(delta.gradient_field(), cfg.alpha,
-                                    part).value)
-        err_v.append(ev)
-        err_grad.append(eg)
+        deltas = [a - c for a, c in zip(sol.v.slices, ref.v.slices)]
+        # np.max, not the builtin max, which drops a NaN
+        err_v.append(float(np.max([dc_norm(dv, cfg.alpha, part)
+                                   for dv in deltas])))
+        err_grad.append(float(np.max([
+            besov_norm(dv.gradient_field(), cfg.alpha, part).value
+            for dv in deltas])))
     study = ConvergenceStudy(
         parameters=list(eps_list),
         errors={"v_dc": err_v, "grad_v": err_grad, "data_premise": premise},
@@ -267,9 +269,9 @@ def continuity_study_phi(b: TimeField, cfg: SolverConfig, eps_list,
     ladders = {eps: mollify_timefield(b, eps) for eps in eps_list}
 
     theta = cfg.theta
-    worst = max(
-        max(besov_norm(s, -cfg.beta + cfg.eps, part).value for s in tf.slices)
-        for tf in ladders.values())
+    worst = float(np.max([_path_besov_norm(tf, -cfg.beta + cfg.eps, part,
+                                           "drift")
+                          for tf in ladders.values()]))
     if worst > 0.0:
         lam = (3.0 * c_cal * math.gamma(1.0 - theta)
                * worst) ** (1.0 / (1.0 - theta))

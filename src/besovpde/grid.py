@@ -30,11 +30,13 @@ __all__ = [
 
 _ROUND_TRIP_TOL = 1e-12
 
-# Padded input bytes per batched sup-norm transform.  Measured on the
-# benchmark workloads (2-core host, numpy 2.4): 128 KiB chunks cut the 1D
-# solve's median op from ~1.85 s to ~0.75 s and keep peak RSS within ~1% of
-# the one-field-at-a-time loop; 512 KiB chunks were no faster and cost 5-6%
-# peak RSS on the 1D solve, as did whole-node batches on the 2D solve.
+# Bytes of refined samples one batched sup-norm transform produces (8 a
+# point for real stacks, 16 for complex).  Measured on the benchmark
+# workloads (2-core host, numpy 2.4, one 20 s run each): the 2D solve's
+# median op is ~1.2 s at 128 or 256 KiB against ~1.4 s at 64 KiB, where
+# gradient pairs go one per transform; the 1D solve reads 0.47-0.51 s at
+# 64-256 KiB, and 256 KiB adds ~1 MB (2.6%) peak RSS.  512 KiB chunks and
+# whole-node batches cost 5-6% peak RSS.
 CHUNK_BYTES = 128 * 1024
 
 
@@ -302,26 +304,48 @@ def refined_samples(f: SpectralField, refine: int = 2) -> np.ndarray:
 
 def _padded_samples(coeffs: np.ndarray, grid: TorusGrid, real: bool,
                     refine: int) -> np.ndarray:
-    """``refined_samples`` of coefficients whose last d axes are the grid."""
+    """``refined_samples`` of coefficients whose last d axes are the grid.
+
+    The one kernel behind every sampling on the refined grid: sup norms,
+    block sup norms, the dealiased products and the Bony blocks.  Leading
+    axes are a batch, transformed together.
+
+    With ``real`` the coefficients must be Hermitian, as a real field's
+    are, and the samples come from a real inverse transform of the half
+    spectrum on the last axis: modes 0..n/2-1, the coarse Nyquist halved
+    into slot n/2, zeros above.  That transform reads only the half
+    spectrum, so coefficients that are not Hermitian give the samples of
+    a different field, not the real part of their own.  Without ``real``
+    the whole padded spectrum goes through a complex inverse transform.
+    """
     n, d = grid.n, grid.d
     fine_n = refine * n
-    pad = coeffs
+    axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
+    if real:
+        pad = np.zeros(coeffs.shape[:-1] + (fine_n // 2 + 1,), dtype=complex)
+        pad[..., :n // 2] = coeffs[..., :n // 2]
+        pad[..., n // 2] = coeffs[..., n // 2] * (0.5 if refine > 1 else 1.0)
+        embed = d - 1
+    else:
+        pad, embed = coeffs, d
     if refine > 1:
-        for ax in range(d):
-            pad = _embed_axis(pad, pad.ndim - d + ax, n, fine_n)
-    vals = np.fft.ifftn(pad, axes=tuple(range(pad.ndim - d, pad.ndim))) * fine_n**d
-    return vals.real if real else vals
+        for ax in range(embed):
+            pad = _embed_axis(pad, axes[ax], n, fine_n)
+    if real:   # unnormalized: the coefficients carry the 1/n^d already
+        return np.fft.irfftn(pad, s=(fine_n,) * d, axes=axes, norm="forward")
+    return np.fft.ifftn(pad, axes=axes) * fine_n**d
 
 
-def chunk_rows(row_shape: tuple, grid: TorusGrid, refine: int = 2) -> int:
+def chunk_rows(row_shape: tuple, grid: TorusGrid, real: bool = True,
+               refine: int = 2) -> int:
     """Rows of shape ``comp_shape + grid.shape`` one batched transform takes.
 
-    Their zero-padded coefficients fit in CHUNK_BYTES; a row larger than
-    that goes alone.
+    Their refined samples (8 bytes a point for real rows, 16 for complex)
+    fit in CHUNK_BYTES; a row larger than that goes alone.
     """
     comps = int(np.prod(row_shape[:len(row_shape) - grid.d]))
-    padded = comps * (refine * grid.n) ** grid.d * np.dtype(complex).itemsize
-    return max(1, CHUNK_BYTES // padded)
+    itemsize = np.dtype(float if real else complex).itemsize
+    return max(1, CHUNK_BYTES // (comps * (refine * grid.n) ** grid.d * itemsize))
 
 
 def sup_norms(coeffs: np.ndarray, grid: TorusGrid, real: bool = True,
@@ -329,10 +353,10 @@ def sup_norms(coeffs: np.ndarray, grid: TorusGrid, real: bool = True,
     """``sup_norm`` of every row of a ``(N,) + comp_shape + grid`` stack.
 
     Rows are sampled on the ``refine``-times finer grid in chunks of
-    ``chunk_rows`` rows, each chunk one zero-padded inverse transform.
+    ``chunk_rows`` rows, each chunk one call of the padded-sample kernel.
     """
     d = grid.d
-    rows = chunk_rows(coeffs.shape[1:], grid, refine)
+    rows = chunk_rows(coeffs.shape[1:], grid, real, refine)
     out = np.empty(len(coeffs))
     for lo in range(0, len(coeffs), rows):
         vals = _padded_samples(coeffs[lo:lo + rows], grid, real, refine)
@@ -525,6 +549,8 @@ def save_field(path, f: SpectralField):
 
 
 def load_field(path) -> SpectralField:
+    """Read a field file; a payload of the wrong size or a non-finite
+    sample raises a GridError naming the cause."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         raw = fh.read()
@@ -533,5 +559,16 @@ def load_field(path) -> SpectralField:
     grid = TorusGrid(d=header["d"], n=header["n"], L=header["L"])
     comp_shape = _component_shape(header["components"], grid.d)
     shape = comp_shape + grid.shape
-    vals = np.frombuffer(raw, dtype="<f8", count=int(np.prod(shape))).reshape(shape)
+    need = int(np.prod(shape)) * 8
+    if len(raw) < need:
+        raise GridError(f"{path}: truncated payload, {len(raw)} bytes for "
+                        f"{need // 8} float64 samples ({need} bytes)")
+    if len(raw) > need:
+        raise GridError(f"{path}: {len(raw) - need} trailing bytes after "
+                        f"{need // 8} float64 samples")
+    vals = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise GridError(f"{path}: non-finite sample {vals.flat[bad[0]]} at "
+                        f"flat index {bad[0]} ({bad.size} in all)")
     return to_fourier(vals, grid)

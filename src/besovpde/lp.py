@@ -9,7 +9,7 @@ construction; ring supports are [3/4 * 2^j, 8/3 * 2^j].
 The norms are computed on coefficient stacks ``(N,) + comp_shape + grid``:
 ``block_sup_stack`` returns the (N, J+2) block sup norms of N fields,
 measured on the twice-refined grid through ``grid.sup_norms`` in chunks of
-(field, block) pairs of at most ``grid.CHUNK_BYTES`` padded input, and
+(field, block) pairs whose refined samples fit in ``grid.CHUNK_BYTES``, and
 ``besov_norms``, ``dc_norms`` and ``c1plus_norms`` build on it.  The
 single-field estimators (``besov_norm``, ``dc_norm``, ``c1plus_norm``) are
 their one-row cases.
@@ -30,7 +30,6 @@ from .grid import (
     TimeField,
     TorusGrid,
     chunk_rows,
-    evaluate_at,
     gradient_stack,
     sup_norms,
 )
@@ -172,7 +171,7 @@ def block_sup_stack(coeffs: np.ndarray, part: DyadicPartition,
         raise GridError("coefficients and partition live on different grids")
     n_blocks = len(part.windows)
     window_shape = (1,) * (coeffs.ndim - 1 - g.d) + g.shape
-    pairs = chunk_rows(coeffs.shape[1:], g, refine)
+    pairs = chunk_rows(coeffs.shape[1:], g, real, refine)
     total = len(coeffs) * n_blocks
     out = np.empty(total)
     for lo in range(0, total, pairs):
@@ -314,10 +313,9 @@ def dc_norms(slopes: np.ndarray, coeffs: np.ndarray, alpha: float,
     the periodic parts.
     """
     g = part.grid
-    zero = np.zeros(g.d)
-    origin = np.array([
-        np.abs(evaluate_at(SpectralField(g, c, real=real), zero) + s @ zero)
-        for s, c in zip(slopes, coeffs)])
+    # f_i(0) is the sum of the coefficients; the slope term vanishes there
+    origin = coeffs.reshape(len(coeffs), -1).sum(axis=1)
+    origin = np.abs(origin.real if real else origin)
     grad = gradient_stack(coeffs, g, slopes)
     return origin + besov_norms(grad, alpha, part, real)
 

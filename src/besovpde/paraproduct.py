@@ -4,7 +4,9 @@ The product of f and g splits into two paraproducts and a resonant part:
 block pairs (i, j) with i <= j-2 (low f times high g), j <= i-2, and
 |i - j| <= 1.  Real-space multiplications run on a twice-refined grid so
 block products never alias into wrong rings; the result is truncated back
-to the resolved band with the Nyquist plane zeroed.
+to the resolved band with the Nyquist plane zeroed.  Every factor is
+sampled there by ``grid._padded_samples``, the one padded-sample kernel
+(a real inverse transform for real fields).
 
 The three Bony terms cover every block pair, so on the grid their sum is
 the plain dealiased product.  The split is what the paper's product
@@ -20,23 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, SpectralField, _embed_axis, refined_samples
+from .grid import GridError, SpectralField, _padded_samples, refined_samples
 from .lp import DyadicPartition, dyadic_partition
 
 __all__ = ["BonyProduct", "bony_product", "drift_term", "dealiased_product"]
-
-
-def _padded_block_samples(f: SpectralField, part: DyadicPartition) -> np.ndarray:
-    """Real-space samples of every block on the 2x refined grid."""
-    g = f.grid
-    fine_n = 2 * g.n
-    blocks = part.windows * f.coeffs  # (J+2,) + grid.shape
-    pad = blocks
-    for ax in range(g.d):
-        pad = _embed_axis(pad, 1 + ax, g.n, fine_n)
-    axes = tuple(range(1, 1 + g.d))
-    vals = np.fft.ifftn(pad, axes=axes) * fine_n**g.d
-    return vals.real if f.real else vals
 
 
 def _truncate_to_grid(fine_samples: np.ndarray, f_like: SpectralField) -> SpectralField:
@@ -97,8 +86,9 @@ def bony_product(f: SpectralField, alpha: float, g: SpectralField,
         warnings.warn(
             f"bony estimate hypothesis violated (alpha={alpha}, beta={beta}); "
             "computing the product anyway", stacklevel=2)
-    fb = _padded_block_samples(f, part)
-    gb = _padded_block_samples(g, part)
+    # every block of each factor on the 2x grid, one transform per factor
+    fb = _padded_samples(part.windows * f.coeffs, f.grid, f.real, 2)
+    gb = _padded_samples(part.windows * g.coeffs, g.grid, g.real, 2)
     nblocks = fb.shape[0]
     f_cum = np.cumsum(fb, axis=0)
     g_cum = np.cumsum(gb, axis=0)

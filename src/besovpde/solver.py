@@ -113,7 +113,6 @@ class SolverConfig:
     rho: object = "auto"
     tol_fix: float = 1e-10
     max_iter: int = 60
-    quad_rule: str = "expkernel-linear"
     lambda_kernel: str = "auto"  # auto | never | always
     lambda_kernel_threshold: float = 0.5
 
@@ -135,8 +134,6 @@ class SolverConfig:
             raise SolverError(f"lambda must be nonnegative, got {self.lam}")
         if self.T <= 0 or self.M < 2:
             raise SolverError("need T > 0 and M >= 2")
-        if self.quad_rule != "expkernel-linear":
-            raise SolverError(f"unknown quadrature rule {self.quad_rule!r}")
         if self.lambda_kernel not in ("auto", "never", "always"):
             raise SolverError(f"bad lambda_kernel policy {self.lambda_kernel!r}")
 
@@ -226,7 +223,7 @@ class SolveResult:
             out["config"] = {
                 "beta": config.beta, "eps": config.eps, "alpha": config.alpha,
                 "T": config.T, "M": config.M, "tol_fix": config.tol_fix,
-                "max_iter": config.max_iter, "quad_rule": config.quad_rule,
+                "max_iter": config.max_iter,
             }
         return out
 
@@ -289,9 +286,13 @@ def lambda_threshold(b: TimeField, cfg: SolverConfig, c_cal: float,
 
 def _path_besov_norm(tf: TimeField, gamma: float, part: DyadicPartition,
                      name: str) -> float:
-    """max over the mesh nodes of ||s||_gamma; raises when not finite."""
-    coeffs = np.array([s.coeffs for s in tf.slices])
-    real = all(s.real for s in tf.slices)
+    """max over the mesh nodes of ||s||_gamma; raises when not finite.
+
+    Nodes that share one field object (a static path) are measured once.
+    """
+    distinct = list({id(s): s for s in tf.slices}.values())
+    coeffs = np.array([s.coeffs for s in distinct])
+    real = all(s.real for s in distinct)
     norm = float(np.max(besov_norms(coeffs, gamma, part, real)))
     if not math.isfinite(norm):
         raise SolverError(f"{name} norm in C^{gamma:g} is not finite ({norm})")

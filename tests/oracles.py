@@ -18,7 +18,7 @@ from besovpde import (
     evaluate_at,
     gradient,
 )
-from besovpde.grid import refined_samples
+from besovpde.grid import _embed_axis, refined_samples
 
 
 def naive_dft_1d(samples):
@@ -153,6 +153,29 @@ def mol_reference_1d(v_T_samples, b_samples_fn, g_samples_fn, lam, L, T,
         if (step + 1) % record_every == 0:
             snapshots.append(np.fft.ifft(w_hat).real * n)
     return snapshots
+
+
+# ---------------------------------------------------------------------------
+# refined-grid samples through the complex transform
+
+
+def complex_padded_samples(coeffs, grid, real, refine):
+    """``grid._padded_samples`` through one complex inverse transform.
+
+    Package code: the whole zero-padded spectrum (every axis embedded,
+    Nyquist split) goes through ``ifftn``, and real fields keep the real
+    part.  This is the path the real-to-complex kernel replaced for real
+    fields; it needs no Hermitian symmetry of its input.
+    """
+    n, d = grid.n, grid.d
+    fine_n = refine * n
+    pad = coeffs
+    if refine > 1:
+        for ax in range(d):
+            pad = _embed_axis(pad, pad.ndim - d + ax, n, fine_n)
+    vals = np.fft.ifftn(pad, axes=tuple(range(pad.ndim - d, pad.ndim)))
+    vals = vals * fine_n**d
+    return vals.real if real else vals
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from besovpde import TorusGrid, apply_heat, load_field, save_field, to_fourier
+from besovpde import cli
 from besovpde.cli import main, parse_config
+from test_solver import nan_in_slice
 
 BASE = """
 grid.d = 1
@@ -221,11 +224,57 @@ def test_study_continuity_commands(calibrated):
     assert meta["lipschitz_certificate"]
 
 
+def test_continuity_study_rho_with_a_nan_drift_slice_exits_2(
+        calibrated, capsys, monkeypatch):
+    # NaN in slice 2 of 5: the builtin max() dropped it from the drift norm
+    # that selects rho; the path norm names it and the command stops
+    tmp, conf, cal = calibrated
+    gen_drift = cli.gen_drift
+
+    def study_not_reached(*args, **kwargs):
+        raise AssertionError("the study ran with a NaN drift norm")
+
+    monkeypatch.setattr(cli, "gen_drift",
+                        lambda *args: nan_in_slice(gen_drift(*args)))
+    monkeypatch.setattr(cli, "continuity_study_v", study_not_reached)
+    nan_conf = write(tmp, BASE + "time.M = 4\n", "nan_drift.txt")
+    rc = main(["study-continuity-v", "--config", str(nan_conf),
+               "--out", str(tmp / "nan_out"), "--calibration", str(cal)])
+    assert rc == 2
+    assert re.search("drift norm .* not finite", capsys.readouterr().err)
+
+
 def test_io_failure_exit_code(tmp_path):
     conf = write(tmp_path, BASE + 'field.path = "/nonexistent/field.bin"\n')
     rc = main(["besov-norm", "--config", str(conf),
                "--out", str(tmp_path / "o")])
     assert rc == 4
+
+
+def _corrupt_field(tmp_path, edit):
+    """A saved 1D field file with its sample payload passed through edit."""
+    grid = TorusGrid(d=1, n=64)
+    path = tmp_path / "input.field"
+    save_field(path, to_fourier(np.sin(grid.axis_points()), grid))
+    header, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(header + b"\n" + edit(payload))
+    return path
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (lambda raw: raw[:-8], "truncated payload, 504 bytes for 64"),
+    (lambda raw: raw + b"\0" * 3, "3 trailing bytes after 64"),
+    (lambda raw: raw[:80] + np.float64(np.nan).tobytes() + raw[88:],
+     "non-finite sample nan at flat index 10"),
+], ids=["short", "trailing", "nan"])
+def test_corrupt_field_file_exits_2_naming_the_cause(tmp_path, capsys, edit,
+                                                     cause):
+    path = _corrupt_field(tmp_path, edit)
+    conf = write(tmp_path, BASE + f'field.path = "{path}"\n')
+    rc = main(["besov-norm", "--config", str(conf),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_solve_with_mollified_drift(calibrated):

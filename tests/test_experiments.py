@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from besovpde import experiments
 from besovpde import (
     AffinePeriodicField,
     DriftSpec,
     SolverConfig,
+    SolverError,
     SpectralField,
     TimeField,
     TorusGrid,
@@ -22,6 +26,7 @@ from besovpde import (
     to_fourier,
 )
 from besovpde.paraproduct import dealiased_product
+from test_solver import nan_in_slice
 
 MESH = TimeField.uniform_mesh(0.5, 16)
 
@@ -142,6 +147,61 @@ def test_continuity_v_varying_source(grid64, part64):
                                part=part64, vary="g")
     assert study.verdicts["v_decreasing"]
     assert study.notes["vary"] == "g"
+
+
+def _static_rough_drift(grid, part, M=4):
+    mesh = TimeField.uniform_mesh(0.5, M)
+    b0 = dyadic_random_field(grid, -0.3, seed=7, comp_shape=(1,), part=part)
+    return TimeField(mesh, [b0] * (M + 1))
+
+
+def test_continuity_v_premise_with_a_nan_drift_slice_raises(grid64, part64,
+                                                            monkeypatch):
+    # NaN in slice 2 of 5: the builtin max() dropped it from the premise;
+    # the path norm names it.  The solves are stubbed out: with the NaN
+    # drift they would stop on their own before the premise is measured.
+    b = nan_in_slice(_static_rough_drift(grid64, part64))
+    g = TimeField(b.t_grid, [SpectralField.zero(grid64)] * 5)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=4, lam=0.0, rho=30.0)
+    monkeypatch.setattr(experiments, "_solve", lambda data, cfg, part: None)
+    with pytest.raises(SolverError, match="drift premise norm .* not finite"):
+        continuity_study_v(b, g, _affine_terminal(grid64), cfg,
+                           eps_list=[2.0**-4, 2.0**-6], part=part64)
+
+
+def test_continuity_v_errors_keep_a_nan_solution_slice(grid64, part64,
+                                                       monkeypatch):
+    # NaN in slice 2 of 5 of a solution: max(ev, nan) was ev, so the error
+    # ladders read finite; they now carry the NaN
+    b = _static_rough_drift(grid64, part64)
+    g = TimeField(b.t_grid, [SpectralField.zero(grid64)] * 5)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=4, lam=0.0, rho=30.0)
+    clean = TimeField(b.t_grid, [_affine_terminal(grid64)] * 5)
+    results = iter([clean, nan_in_slice(clean), clean])
+    monkeypatch.setattr(experiments, "_solve", lambda data, cfg, part:
+                        SimpleNamespace(v=next(results)))
+    study = continuity_study_v(b, g, _affine_terminal(grid64), cfg,
+                               eps_list=[2.0**-4, 2.0**-6], part=part64)
+    assert np.isnan(study.errors["v_dc"][0])
+    assert np.isnan(study.errors["grad_v"][0])
+    assert study.errors["v_dc"][1] == 0.0
+    assert not study.finite()
+
+
+def test_continuity_phi_ladder_with_a_nan_drift_slice_raises(grid64, part64,
+                                                             monkeypatch):
+    # NaN in slice 2 of 5: the builtin max() dropped it from the drift norm
+    # that sets lam; the path norm stops the study before any solve
+    b = nan_in_slice(_static_rough_drift(grid64, part64))
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=4, lam=1.0, rho=1.0)
+
+    def solve_not_reached(*args, **kwargs):
+        raise AssertionError("a solve ran with a NaN drift norm")
+
+    monkeypatch.setattr(experiments, "solve_u", solve_not_reached)
+    with pytest.raises(SolverError, match="drift norm .* not finite"):
+        continuity_study_phi(b, cfg, [2.0**-4, 2.0**-6], c_cal=1.5,
+                             part=part64)
 
 
 def test_continuity_phi_zero_drift(grid64, part64):

@@ -9,13 +9,16 @@ from besovpde import (
     SpectralField,
     TimeField,
     TorusGrid,
+    dyadic_partition,
+    dyadic_random_field,
     evaluate_at,
     gradient,
     load_field,
     save_field,
     to_fourier,
 )
-from oracles import naive_dft_1d
+from besovpde.grid import _padded_samples, gradient_stack
+from oracles import complex_padded_samples, naive_dft_1d
 
 
 def test_grid_validation():
@@ -203,3 +206,40 @@ def test_three_dimensional_roundtrip_and_gradient():
     assert np.abs(g.component(0).samples() - ref).max() < 1e-12
     assert abs(evaluate_at(f, [0.3, 1.1, 2.0])
                - (np.sin(0.3) * np.cos(1.1) + 0.5 * np.sin(2.0))) < 1e-12
+
+
+def _package_stack(grid, kind, vector, rows, seed):
+    """(rows,) + comp + grid coefficients of real fields the package builds:
+    random dyadic fields, their (affine) gradients, or windowed blocks."""
+    part = dyadic_partition(grid)
+    comp = (grid.d,) if vector and kind != "gradient" else ()
+    coeffs = np.array([
+        dyadic_random_field(grid, -0.3, seed + i, comp_shape=comp,
+                            part=part).coeffs for i in range(rows)])
+    rng = np.random.default_rng(seed)
+    if kind == "gradient":
+        return gradient_stack(coeffs, grid, rng.standard_normal((rows, grid.d)))
+    if kind == "blocks":
+        blocks = part.windows[rng.integers(len(part.windows), size=rows)]
+        return coeffs * blocks.reshape((rows,) + (1,) * len(comp) + grid.shape)
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(dn=st.sampled_from([(1, 8), (1, 64), (2, 8), (2, 16), (3, 8)]),
+       kind=st.sampled_from(["field", "gradient", "blocks"]),
+       vector=st.booleans(), rows=st.integers(1, 7),
+       refine=st.sampled_from([1, 2, 3]), seed=st.integers(0, 10_000))
+def test_padded_samples_match_complex_transform(dn, kind, vector, rows,
+                                                refine, seed):
+    # the real-to-complex kernel against the complex inverse transform of
+    # the whole padded spectrum; tolerance 1e-14 * (1 + max|oracle|)
+    grid = TorusGrid(d=dn[0], n=dn[1])
+    coeffs = _package_stack(grid, kind, vector, rows, seed)
+    fast = _padded_samples(coeffs, grid, True, refine)
+    slow = complex_padded_samples(coeffs, grid, True, refine)
+    assert fast.dtype == np.float64 and fast.shape == slow.shape
+    assert np.abs(fast - slow).max() <= 1e-14 * (1.0 + np.abs(slow).max())
+    # complex stacks still take the complex transform: same arithmetic
+    assert np.array_equal(_padded_samples(coeffs, grid, False, refine),
+                          complex_padded_samples(coeffs, grid, False, refine))

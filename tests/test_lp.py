@@ -14,14 +14,15 @@ from besovpde import (
     dc_norm,
     dyadic_partition,
     dyadic_random_field,
+    evaluate_at,
     holder_norm,
     interior_mode_field,
     lp_blocks,
     rho_time_norm,
     to_fourier,
 )
-from besovpde.grid import CHUNK_BYTES, sup_norms
-from besovpde.lp import block_sup_stack
+from besovpde.grid import CHUNK_BYTES, gradient_stack, sup_norms
+from besovpde.lp import besov_norms, block_sup_stack, dc_norms
 from oracles import dense_holder_norm_1d, per_block_sup_norms
 
 RING_LOW, RING_HIGH = 0.75, 4.0 / 3.0
@@ -96,25 +97,44 @@ def test_block_sup_stack_equals_per_block_loop(dn, vector, real, rows, seed):
 
 
 def test_block_sup_stack_stays_within_chunk_budget(monkeypatch):
-    # every padded batch the kernel transforms fits in CHUNK_BYTES, and the
-    # batches together cover every (node, block) pair once
+    # the refined samples of every batch the kernel transforms fit in
+    # CHUNK_BYTES, and the batches together cover every (node, block) pair
+    # once; real stacks go through the real inverse transform
     grid = TorusGrid(d=2, n=16)
     part = dyadic_partition(grid)
     coeffs = _random_stack(grid, (2,), True, 33, seed=4)
-    inputs = []
-    ifftn = np.fft.ifftn
+    outputs = []
+    irfftn = np.fft.irfftn
 
     def spy(a, *args, **kwargs):
-        inputs.append(a.shape)
-        assert a.nbytes <= CHUNK_BYTES, a.shape
-        return ifftn(a, *args, **kwargs)
+        vals = irfftn(a, *args, **kwargs)
+        outputs.append(vals.shape)
+        assert vals.nbytes <= CHUNK_BYTES, vals.shape
+        return vals
 
-    monkeypatch.setattr(np.fft, "ifftn", spy)
+    monkeypatch.setattr(np.fft, "irfftn", spy)
     sups = block_sup_stack(coeffs, part)
     assert sups.shape == (33, len(part.windows))
-    assert sum(shape[0] for shape in inputs) == sups.size
-    assert max(shape[0] for shape in inputs) > 1
-    assert all(shape[1:] == (2, 32, 32) for shape in inputs)
+    assert sum(shape[0] for shape in outputs) == sups.size
+    assert max(shape[0] for shape in outputs) > 1
+    assert all(shape[1:] == (2, 32, 32) for shape in outputs)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+def test_dc_norms_origin_is_the_coefficient_sum(d, n, real):
+    # f_i(0) as one stacked sum of coefficients against evaluate_at one
+    # field at a time; tolerance 1e-13 * (1 + |value|)
+    grid = TorusGrid(d=d, n=n)
+    part = dyadic_partition(grid)
+    coeffs = _random_stack(grid, (), real, 5, seed=d)
+    slopes = np.random.default_rng(d).standard_normal((5, d))
+    values = dc_norms(slopes, coeffs, 0.4, part, real)
+    grads = besov_norms(gradient_stack(coeffs, grid, slopes), 0.4, part, real)
+    for value, grad, slope, c in zip(values, grads, slopes, coeffs):
+        f = AffinePeriodicField(slope, SpectralField(grid, c, real=real))
+        expected = float(np.abs(evaluate_at(f, np.zeros(d)))) + grad
+        assert abs(value - expected) <= 1e-13 * (1.0 + abs(value))
 
 
 def test_besov_zero_field(grid64, part64):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from besovpde import grid as grid_mod
 from besovpde import solver
 from besovpde import (
     AffinePeriodicField,
@@ -31,8 +32,10 @@ from besovpde import (
     to_fourier,
     weak_residual,
 )
+from besovpde.lp import besov_norms
 from besovpde.solver import (
     NewtonError,
+    _path_besov_norm,
     _quad_tolerance_from_nodes,
     identity_component,
 )
@@ -40,6 +43,7 @@ from besovpde.calibration import pair_key
 from oracles import (
     bisect_inverse,
     bony_drift_pairing,
+    complex_padded_samples,
     gamma_by_quadrature,
     mol_reference_1d,
     per_slice_increment_norms,
@@ -587,6 +591,59 @@ def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
                   float(np.abs(a.slope - b.slope).max()))
               for a, b in zip(fast.v.slices, slow.v.slices))
     assert gap <= 10.0 * cfg.tol_fix
+
+
+@pytest.mark.parametrize("case", ["affine-1d", "bounded-2d"])
+def test_solve_with_complex_padded_samples_agrees(grid64, part64,
+                                                  monkeypatch, case):
+    # the same solve with every refined-grid sampling (norms and drift
+    # pairing) through the complex transform the real kernel replaced:
+    # identical iteration count, coefficients within 10 * tol_fix
+    if case == "affine-1d":
+        data, part = _affine_rough_1d(grid64, part64), part64
+    else:
+        data, part = _bounded_modulated_2d()
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0)
+    fast = solve_mild(data, cfg, part=part, compute_weak_residual=False)
+    assert fast.norm_kind == ("dc" if case == "affine-1d" else "c1plus")
+    calls = []
+
+    def oracle(*args):
+        calls.append(1)
+        return complex_padded_samples(*args)
+
+    monkeypatch.setattr(grid_mod, "_padded_samples", oracle)
+    slow = solve_mild(data, cfg, part=part, compute_weak_residual=False)
+    assert calls
+    assert fast.iterations == slow.iterations
+    gap = max(max(float(np.abs(a.periodic.coeffs - b.periodic.coeffs).max()),
+                  float(np.abs(a.slope - b.slope).max()))
+              for a, b in zip(fast.v.slices, slow.v.slices))
+    assert gap <= 10.0 * cfg.tol_fix
+
+
+def test_static_drift_norm_measures_each_slice_object_once(grid64, part64,
+                                                          monkeypatch):
+    # a static path shares one field object across its nodes: measured
+    # once, with the same value as the full stack, bit for bit
+    mesh = TimeField.uniform_mesh(1.0, 8)
+    b0 = dyadic_random_field(grid64, -0.3, seed=7, comp_shape=(1,),
+                             part=part64)
+    b1 = 0.5 * b0
+    b = TimeField(mesh, [b0] * 4 + [b1] * 5)
+    full = np.array([s.coeffs for s in b.slices])
+    expected = np.max(besov_norms(full, -0.3, part64))
+    rows = []
+
+    def spy(coeffs, *args):
+        rows.append(len(coeffs))
+        return besov_norms(coeffs, *args)
+
+    monkeypatch.setattr(solver, "besov_norms", spy)
+    norm = _path_besov_norm(b, -0.3, part64, "drift")
+    assert rows == [2]
+    assert np.array_equal(norm, expected)
 
 
 @pytest.mark.parametrize("shape", [(17, 64), (9, 16, 16)])
