@@ -31,7 +31,6 @@ from .lp import (
     holder_norm,
     interior_mode_field,
     lp_blocks,
-    rho_time_norm,
 )
 from .heat import (
     EstimateReport,

@@ -291,24 +291,16 @@ def gradient_stack(coeffs: np.ndarray, grid: TorusGrid,
     return out
 
 
-def refined_samples(f: SpectralField, refine: int = 2) -> np.ndarray:
-    """Samples on a ``refine``-times finer grid via Fourier zero-padding.
-
-    Axis Nyquist coefficients are split evenly between +-n/2 so that real
-    fields stay real and the original grid points are reproduced.
-    """
-    if refine == 1:
-        return f.samples()
-    return _padded_samples(f.coeffs, f.grid, f.real, refine)
-
-
 def _padded_samples(coeffs: np.ndarray, grid: TorusGrid, real: bool,
                     refine: int) -> np.ndarray:
-    """``refined_samples`` of coefficients whose last d axes are the grid.
+    """Samples on a ``refine``-times finer grid via Fourier zero-padding.
 
-    The one kernel behind every sampling on the refined grid: sup norms,
-    block sup norms, the dealiased products and the Bony blocks.  Leading
-    axes are a batch, transformed together.
+    The coefficients' last d axes are the grid; leading axes are a batch,
+    transformed together.  Axis Nyquist coefficients are split evenly
+    between +-n/2 so that real fields stay real and the original grid
+    points are reproduced.  The one kernel behind every sampling on the
+    refined grid: sup norms, block sup norms, the dealiased products and
+    the Bony blocks.
 
     With ``real`` the coefficients must be Hermitian, as a real field's
     are, and the samples come from a real inverse transform of the half
@@ -549,13 +541,24 @@ def save_field(path, f: SpectralField):
 
 
 def load_field(path) -> SpectralField:
-    """Read a field file; a payload of the wrong size or a non-finite
+    """Read a field file; a header that is not a JSON object, a missing or
+    ill-typed header key, a payload of the wrong size or a non-finite
     sample raises a GridError naming the cause."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         raw = fh.read()
+    if not isinstance(header, dict):
+        raise GridError(f"{path}: header is not a JSON object")
     if header.get("layout") != "rowmajor-float64-le":
         raise GridError(f"unsupported layout {header.get('layout')!r}")
+    for key, kind in (("d", int), ("n", int), ("L", (int, float)),
+                      ("components", int)):
+        if key not in header:
+            raise GridError(f"{path}: header has no {key!r}")
+        if isinstance(header[key], bool) or not isinstance(header[key], kind):
+            want = "an integer" if kind is int else "a number"
+            raise GridError(f"{path}: header {key!r} must be {want}, "
+                            f"got {header[key]!r}")
     grid = TorusGrid(d=header["d"], n=header["n"], L=header["L"])
     comp_shape = _component_shape(header["components"], grid.d)
     shape = comp_shape + grid.shape

@@ -27,7 +27,6 @@ from .grid import (
     AffinePeriodicField,
     GridError,
     SpectralField,
-    TimeField,
     TorusGrid,
     chunk_rows,
     gradient_stack,
@@ -48,9 +47,7 @@ __all__ = [
     "dc_norms",
     "c1plus_norm",
     "c1plus_norms",
-    "rho_time_norm",
     "rho_time_norm_log",
-    "slice_norm",
     "dyadic_random_field",
     "interior_mode_field",
 ]
@@ -337,32 +334,6 @@ def c1plus_norms(coeffs: np.ndarray, alpha: float, part: DyadicPartition,
     g = part.grid
     return (sup_norms(coeffs, g, real)
             + besov_norms(gradient_stack(coeffs, g), alpha, part, real))
-
-
-def slice_norm(s, kind: str, exponent: float,
-               part: DyadicPartition = None) -> float:
-    if kind == "besov":
-        if isinstance(s, AffinePeriodicField):
-            raise GridError("besov slice norm expects a periodic field")
-        return besov_norm(s, exponent, part).value
-    if kind == "holder":
-        return holder_norm(s, exponent)
-    if kind == "dc":
-        return dc_norm(s, exponent, part)
-    if kind == "c1plus":
-        return c1plus_norm(s, exponent, part)
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def rho_time_norm(v: TimeField, rho: float, kind: str, exponent: float,
-                  part: DyadicPartition = None) -> float:
-    """max over mesh nodes of exp(-rho (T - t)) times the slice norm."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    T = v.T
-    vals = [math.exp(-rho * (T - t)) * slice_norm(s, kind, exponent, part)
-            for t, s in zip(v.t_grid, v.slices)]
-    return float(np.max(vals))   # not the builtin max, which drops a NaN
 
 
 def rho_time_norm_log(norms: np.ndarray, t_grid: np.ndarray,

@@ -12,7 +12,9 @@ The three Bony terms cover every block pair, so on the grid their sum is
 the plain dealiased product.  The split is what the paper's product
 estimate is proved through, and is kept for the product study and the
 calibration of that estimate's constant; the solver's drift pairing
-(``drift_term``) is the dealiased product itself.
+is the dealiased product itself.  ``drift_terms`` pairs the rows of two
+``(N, d) + grid`` coefficient stacks (a whole time path at once) in
+chunks of ``grid.chunk_rows`` rows, and ``drift_term`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -22,25 +24,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, SpectralField, _padded_samples, refined_samples
+from .grid import (GridError, SpectralField, TorusGrid, _padded_samples,
+                   chunk_rows)
 from .lp import DyadicPartition, dyadic_partition
 
-__all__ = ["BonyProduct", "bony_product", "drift_term", "dealiased_product"]
+__all__ = ["BonyProduct", "bony_product", "drift_term", "drift_terms",
+           "dealiased_product"]
 
 
-def _truncate_to_grid(fine_samples: np.ndarray, f_like: SpectralField) -> SpectralField:
-    """Project fine-grid samples onto the coarse band.
+def _truncate_to_grid(fine_samples: np.ndarray, g: TorusGrid) -> np.ndarray:
+    """Coefficients on the coarse band of fine-grid samples.
 
-    Modes beyond the coarse band are discarded (the dealiasing step); the
-    +-n/2 pair is merged into the coarse Nyquist slot, which is the
-    aliasing the coarse grid itself performs, so band-limited fields pass
-    through bit-for-bit.
+    The last d axes are the fine grid, leading axes a batch.  Modes beyond
+    the coarse band are discarded (the dealiasing step); the +-n/2 pair is
+    merged into the coarse Nyquist slot, which is the aliasing the coarse
+    grid itself performs, so band-limited fields pass through bit-for-bit.
     """
-    g = f_like.grid
     n, d = g.n, g.d
     fine_n = fine_samples.shape[-1]
     axes = tuple(range(fine_samples.ndim - d, fine_samples.ndim))
-    coeffs = np.fft.fftn(fine_samples, axes=axes) / fine_n**d
+    coeffs = np.fft.fftn(fine_samples, axes=axes)
+    coeffs /= fine_n**d
     # coarse FFT layout [0 .. n/2-1, Nyquist, -n/2+1 .. -1]
     idx = np.concatenate([np.arange(0, n // 2), [n // 2],
                           np.arange(fine_n - n // 2 + 1, fine_n)])
@@ -51,7 +55,7 @@ def _truncate_to_grid(fine_samples: np.ndarray, f_like: SpectralField) -> Spectr
         nyq = [slice(None)] * coeffs.ndim
         nyq[axis] = n // 2
         coeffs[tuple(nyq)] += neg_nyq
-    return SpectralField(g, coeffs, real=not np.iscomplexobj(fine_samples))
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +105,9 @@ def bony_product(f: SpectralField, alpha: float, g: SpectralField,
             high_low += g_cum[p - 2] * fb[p]
         lo, hi = max(0, p - 1), min(nblocks - 1, p + 1)
         resonant += fb[p] * (g_cum[hi] - (g_cum[lo - 1] if lo > 0 else 0.0))
-    t_lh = _truncate_to_grid(low_high, f)
-    t_hl = _truncate_to_grid(high_low, f)
-    t_res = _truncate_to_grid(resonant, f)
+    terms = _truncate_to_grid(np.stack([low_high, high_low, resonant]), f.grid)
+    t_lh, t_hl, t_res = (SpectralField(f.grid, c, real=f.real and g.real)
+                         for c in terms)
     total = t_lh + t_hl + t_res
     return BonyProduct(para_low_high=t_lh, para_high_low=t_hl,
                        resonant=t_res, total=total,
@@ -114,8 +118,34 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product computed on the 2x grid, truncated to the band."""
     if f.grid != g.grid:
         raise GridError("dealiased_product: fields on different grids")
-    prod = refined_samples(f, 2) * refined_samples(g, 2)
-    return _truncate_to_grid(prod, f)
+    prod = (_padded_samples(f.coeffs, f.grid, f.real, 2)
+            * _padded_samples(g.coeffs, g.grid, g.real, 2))
+    return SpectralField(f.grid, _truncate_to_grid(prod, f.grid),
+                         real=f.real and g.real)
+
+
+def drift_terms(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
+                real: bool = True) -> np.ndarray:
+    """``drift_term`` of every row pair of two ``(N, d) + grid`` stacks.
+
+    Row i of the ``(N,) + grid`` result holds the coefficients of
+    w_i . b_i.  Rows are paired ``chunk_rows`` at a time, sized so that
+    both factors' 2x-grid samples fit in ``CHUNK_BYTES`` (a budget for one
+    factor raised the 1D benchmark's peak RSS by ~1 MB): each chunk is
+    sampled by one padded-sample call per factor, multiplied, summed over
+    components and truncated in one batch.
+    """
+    if w.shape != b.shape or w.shape[1:] != (grid.d,) + grid.shape:
+        raise GridError(
+            f"drift_terms needs two (N, {grid.d}) + {grid.shape} stacks, "
+            f"got {w.shape} and {b.shape}")
+    rows = chunk_rows((2 * grid.d,) + grid.shape, grid, real, 2)
+    out = np.empty((len(w),) + grid.shape, dtype=complex)
+    for lo in range(0, len(w), rows):
+        prod = _padded_samples(w[lo:lo + rows], grid, real, 2)
+        prod *= _padded_samples(b[lo:lo + rows], grid, real, 2)
+        out[lo:lo + rows] = _truncate_to_grid(np.sum(prod, axis=1), grid)
+    return out
 
 
 def drift_term(w: SpectralField, b: SpectralField) -> SpectralField:
@@ -125,13 +155,11 @@ def drift_term(w: SpectralField, b: SpectralField) -> SpectralField:
     matching dimension.  This equals the sum of the Bony products w_i b_i
     (the three terms cover every block pair), which is where the estimate
     in C^(-beta) comes from; the split itself is not needed to compute it.
+    The one-row case of ``drift_terms``.
     """
-    if w.comp_shape != b.comp_shape or len(w.comp_shape) != 1:
-        raise GridError(
-            f"drift_term needs matching vectors, got {w.comp_shape} "
-            f"and {b.comp_shape}"
-        )
     if w.grid != b.grid:
         raise GridError("drift_term: fields on different grids")
-    prod = np.sum(refined_samples(w, 2) * refined_samples(b, 2), axis=0)
-    return _truncate_to_grid(prod, w)
+    real = w.real and b.real
+    return SpectralField(
+        w.grid, drift_terms(w.coeffs[None], b.coeffs[None], w.grid, real)[0],
+        real=real)

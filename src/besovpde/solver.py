@@ -10,6 +10,13 @@ carried as slope(t) . x + p(t, x): the affine slope decouples exactly
 (slope(t) = slope_T exp(-lam (T - t))) and every spectral operation acts
 on the periodic part, with the slope re-entering the drift product.
 
+The iterate is a coefficient stack: the ``(M+1,) + grid`` coefficients of
+its periodic parts at the mesh nodes, its slopes following their closed
+form.  One Picard step pairs the gradient stack with the drift stack in
+one chunked call (``paraproduct.drift_terms``), integrates in time, and
+measures the increment with one stacked norm call; ``TimeField`` paths
+appear only at the public entry points.
+
 Time integrals use per-mode exact integration of the exponential kernel
 against a linearly interpolated integrand (a stiffness-uniform O(dt^2)
 composite rule), accumulated by one backward sweep with exact semigroup
@@ -48,7 +55,10 @@ from .lp import (
     dyadic_partition,
     rho_time_norm_log,
 )
-from .paraproduct import drift_term
+from .paraproduct import (
+    drift_term,  # noqa: F401  (unused; perfbench/selftest.py traces this binding)
+    drift_terms,
+)
 
 __all__ = [
     "SolverConfig",
@@ -236,16 +246,13 @@ class SolveResult:
         from .grid import save_field
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        files = []
-        slopes = []
-        for m, s in enumerate(self.v.slices):
-            path = directory / f"slice_{m:05d}.field"
-            save_field(path, _as_affine(s).periodic)
-            files.append(path)
-            slopes.append(np.asarray(_as_affine(s).slope).tolist())
+        p, slopes, real = _stacks(self.v)
+        files = [directory / f"slice_{m:05d}.field" for m in range(len(p))]
+        for path, coeffs in zip(files, p):
+            save_field(path, SpectralField(self.v.grid, coeffs, real=real))
         meta = self.manifest(config)
-        meta["slice_files"] = [p.name for p in files]
-        meta["affine_slopes"] = slopes
+        meta["slice_files"] = [path.name for path in files]
+        meta["affine_slopes"] = slopes.tolist()
         meta["t_grid"] = self.v.t_grid.tolist()
         path = directory / "solution.json"
         with open(path, "w") as fh:
@@ -303,60 +310,107 @@ def _path_besov_norm(tf: TimeField, gamma: float, part: DyadicPartition,
 # exponential-kernel quadrature
 
 
-def _phi_weights(a: np.ndarray):
-    """p1 = (1 - e^-a)/a and p2 = (e^-a - 1 + a)/a^2 for a >= 0."""
-    a = np.asarray(a, dtype=float)
+def _sweep_weights(mu: np.ndarray, dt: float):
+    """Per-mode weights of the Duhamel sweep for decay rates ``mu``.
+
+    With a = mu dt, p1 = (1 - e^-a)/a and p2 = (e^-a - 1 + a)/a^2: the
+    one-cell propagator e^-a and the weights dt p2 and dt (p1 - p2) of a
+    cell's left and right nodes.
+    """
+    a = np.asarray(mu * dt, dtype=float)
     safe = np.where(a > 0, a, 1.0)
     em = np.expm1(-safe)
     p1 = np.where(a > 0, -em / safe, 1.0)
     p2 = np.where(a > 0, (safe + em) / safe**2, 0.5)
-    return p1, p2
+    return np.exp(-a), dt * p2, dt * (p1 - p2)
 
 
-def _duhamel_sweep(q_nodes: np.ndarray, mu: np.ndarray, dt: float) -> np.ndarray:
+def _duhamel_sweep(q_nodes: np.ndarray, weights) -> np.ndarray:
     """I_m = int_{t_m}^T exp(-mu (s - t_m)) Q(s) ds for every node m.
 
     Q is linearly interpolated between nodes; each cell integral is exact
     for that interpolant, and cells are chained backward with the exact
-    propagator exp(-mu dt).
+    propagator exp(-mu dt).  ``weights`` is ``_sweep_weights(mu, dt)``.
     """
-    M = q_nodes.shape[0] - 1
-    a = mu * dt
-    decay = np.exp(-a)
-    p1, p2 = _phi_weights(a)
-    w_left = dt * p2
-    w_right = dt * (p1 - p2)
+    decay, w_left, w_right = weights
     out = np.zeros_like(q_nodes)
     acc = np.zeros_like(q_nodes[0])
-    for m in range(M - 1, -1, -1):
+    for m in range(len(q_nodes) - 2, -1, -1):
         acc = decay * acc + w_left * q_nodes[m] + w_right * q_nodes[m + 1]
         out[m] = acc
     return out
 
 
 # ---------------------------------------------------------------------------
-# the solution operator
+# the solution operator on coefficient stacks
 
 
-def _as_affine(s) -> AffinePeriodicField:
-    if isinstance(s, SpectralField):
-        return AffinePeriodicField.from_periodic(s)
-    return s
+def _stacks(v: TimeField):
+    """A path as arrays: its periodic coefficients ``(M+1,) + comp + grid``,
+    its ``(M+1,) + comp + (d,)`` slopes (zero for periodic slices) and
+    whether every periodic part is real."""
+    slices = [s if isinstance(s, AffinePeriodicField)
+              else AffinePeriodicField.from_periodic(s) for s in v.slices]
+    return (np.array([s.periodic.coeffs for s in slices]),
+            np.array([s.slope for s in slices]),
+            all(s.periodic.real for s in slices))
 
 
-def _periodic_stack(v: TimeField):
-    """(M+1,) + grid coefficients of the periodic parts, and their real flag."""
-    parts = [_as_affine(s).periodic for s in v.slices]
-    return np.array([p.coeffs for p in parts]), all(p.real for p in parts)
+def _slopes(data: PDEData, cfg: SolverConfig) -> np.ndarray:
+    """The closed-form slopes slope_T exp(-lam (T - t)) at the nodes."""
+    return np.array([data.v_T.slope * math.exp(-cfg.lam * (cfg.T - t))
+                     for t in data.b.t_grid])
 
 
-def _drift_nodes(v_slices, data: PDEData):
-    """drift_term(grad v(t_m), b(t_m)) for every node, as coefficient rows."""
-    out = []
-    for s, b_m in zip(v_slices, data.b.slices):
-        w = _as_affine(s).gradient_field()
-        out.append(drift_term(w, b_m).coeffs)
-    return np.array(out)
+def _check_mesh(v: TimeField, data: PDEData, cfg: SolverConfig):
+    if not np.array_equal(v.t_grid, data.b.t_grid):
+        raise GridError("iterate and data use different time meshes")
+    if v.M != cfg.M or abs(v.T - cfg.T) > 1e-12 * max(cfg.T, 1.0):
+        raise SolverError(
+            f"mesh (T={v.T}, M={v.M}) disagrees with config "
+            f"(T={cfg.T}, M={cfg.M})")
+
+
+def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
+    """The Duhamel operator on coefficient stacks, set up once per solve.
+
+    Returns ``(integrand, image)``.  For an iterate with periodic
+    coefficients ``p``, slopes ``s`` and real flag ``real``,
+    ``integrand(p, s, real)`` is the node stack of the time integrand: the
+    pairing of slope + grad p with b, less lam p unless ``lambda_kernel``
+    moves the lam-term into the kernel, less g.  ``image(p, s, real)`` is
+    the periodic part of T(v): P_(T-t) v_T plus the swept integral.  The
+    slopes of T(v) are ``_slopes`` and need no iterate.
+    """
+    g = data.grid
+    b, _, real_b = _stacks(data.b)
+    source = _stacks(data.g)[0]
+    tails = cfg.T - data.b.t_grid
+    mu = 0.5 * g.k_squared()
+    if lambda_kernel:
+        mu = cfg.lam + mu
+    free = np.array([np.exp(-mu * tail) * data.v_T.periodic.coeffs
+                     for tail in tails])
+    weights = _sweep_weights(mu, cfg.dt)
+
+    def integrand(p, s, real):
+        q = drift_terms(gradient_stack(p, g, s), b, g, real and real_b)
+        if not lambda_kernel:
+            q = q - cfg.lam * p
+        return q - source
+
+    def image(p, s, real):
+        return free + _duhamel_sweep(integrand(p, s, real), weights)
+
+    return integrand, image
+
+
+def _path(data: PDEData, p: np.ndarray, slopes: np.ndarray) -> TimeField:
+    """The affine path with periodic coefficients ``p`` and ``slopes``."""
+    real = data.v_T.periodic.real
+    return TimeField(data.b.t_grid, [
+        AffinePeriodicField(s, SpectralField(data.grid, c, real=real))
+        for s, c in zip(slopes, p)])
 
 
 def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
@@ -373,57 +427,9 @@ def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
     """
     if lambda_kernel is None:
         lambda_kernel = cfg.uses_lambda_kernel()
-    if not np.array_equal(v.t_grid, data.b.t_grid):
-        raise GridError("iterate and data use different time meshes")
-    if v.M != cfg.M or abs(v.T - cfg.T) > 1e-12 * max(cfg.T, 1.0):
-        raise SolverError(
-            f"mesh (T={v.T}, M={v.M}) disagrees with config "
-            f"(T={cfg.T}, M={cfg.M})")
-    g = data.grid
-    t = v.t_grid
-    dt = cfg.T / cfg.M
-    v_T = data.v_T
-    drift = _drift_nodes(v.slices, data)
-    g_coeffs = np.array([s.coeffs for s in data.g.slices])
-    if lambda_kernel:
-        q = drift - g_coeffs
-        mu = cfg.lam + 0.5 * g.k_squared()
-    else:
-        q = drift - cfg.lam * _periodic_stack(v)[0] - g_coeffs
-        mu = 0.5 * g.k_squared()
-    integrals = _duhamel_sweep(q, mu, dt)
-    slope_T = v_T.slope
-    pT_coeffs = v_T.periodic.coeffs
-    slices = []
-    for m in range(len(t)):
-        tail = cfg.T - t[m]
-        decay = np.exp(-mu * tail)
-        coeffs = decay * pT_coeffs + integrals[m]
-        slope = slope_T * math.exp(-cfg.lam * tail)
-        slices.append(AffinePeriodicField(
-            slope, SpectralField(g, coeffs, real=v_T.periodic.real)))
-    return TimeField(t, slices)
-
-
-def _zero_iterate(data: PDEData, cfg: SolverConfig) -> TimeField:
-    g = data.grid
-    zero = SpectralField.zero(g)
-    zero_affine = AffinePeriodicField(np.zeros(g.d), zero)
-    return TimeField(data.b.t_grid, [zero_affine] * (cfg.M + 1))
-
-
-def _increment_norms(v_new: TimeField, v_old: TimeField, cfg: SolverConfig,
-                     kind: str, part: DyadicPartition) -> np.ndarray:
-    """dc or c1plus norm of every slice of v_new - v_old, as one stack."""
-    p_new, real_new = _periodic_stack(v_new)
-    p_old, real_old = _periodic_stack(v_old)
-    dp = p_new - p_old
-    real = real_new and real_old
-    if kind == "dc":
-        dslope = (np.array([_as_affine(s).slope for s in v_new.slices])
-                  - np.array([_as_affine(s).slope for s in v_old.slices]))
-        return dc_norms(dslope, dp, cfg.alpha, part, real)
-    return c1plus_norms(dp, cfg.alpha, part, real)
+    _check_mesh(v, data, cfg)
+    _, image = _operator(data, cfg, lambda_kernel)
+    return _path(data, image(*_stacks(v)), _slopes(data, cfg))
 
 
 def _quad_tolerance_from_nodes(q_nodes: np.ndarray, grid, T: float,
@@ -463,8 +469,17 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     rho = float(rho)
     kind = "dc" if data.is_affine else "c1plus"
     use_kernel = cfg.uses_lambda_kernel()
+    integrand, image = _operator(data, cfg, use_kernel)
+    slopes = _slopes(data, cfg)
+    real_T = data.v_T.periodic.real
 
-    v = v0 if v0 is not None else _zero_iterate(data, cfg)
+    if v0 is None:
+        _check_mesh(data.b, data, cfg)
+        p = np.zeros((cfg.M + 1,) + data.grid.shape, dtype=complex)
+        s, real = np.zeros_like(slopes), True
+    else:
+        _check_mesh(v0, data, cfg)
+        p, s, real = _stacks(v0)
     ratios = []
     ratios_raw = []
     prev_log = None
@@ -474,14 +489,18 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     sup_inc = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        v_next = apply_T(v, data, cfg, part, lambda_kernel=use_kernel)
-        norms = _increment_norms(v_next, v, cfg, kind, part)
+        p_next = image(p, s, real)
+        if kind == "dc":
+            norms = dc_norms(slopes - s, p_next - p, cfg.alpha, part,
+                             real and real_T)
+        else:
+            norms = c1plus_norms(p_next - p, cfg.alpha, part, real and real_T)
         sup_inc = float(norms.max())
         if not math.isfinite(sup_inc):
             raise PicardError(
                 f"non-finite increment at iteration {iterations} "
                 f"(sup norm {sup_inc}); the iteration diverged", ratios_raw)
-        weighted_log = rho_time_norm_log(norms, v.t_grid, rho)
+        weighted_log = rho_time_norm_log(norms, data.b.t_grid, rho)
         if noise_log is None:
             # increments are differences of O(solution-scale) fields, so the
             # rounding floor of a measured norm sits near eps * scale; the
@@ -507,7 +526,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
                     f"(last ratio {raw:.3e}); the iteration diverges",
                     ratios_raw)
         prev_log = weighted_log
-        v = v_next
+        p, s, real = p_next, slopes, real_T
         if sup_inc <= cfg.tol_fix:
             break
     else:
@@ -515,14 +534,9 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
             f"no convergence in {cfg.max_iter} iterations "
             f"(last increment {sup_inc:.3e})", ratios_raw)
 
-    drift = _drift_nodes(v.slices, data)
-    g_coeffs = np.array([s.coeffs for s in data.g.slices])
-    if use_kernel:
-        q = drift - g_coeffs
-    else:
-        q = drift - cfg.lam * _periodic_stack(v)[0] - g_coeffs
-    quad_tol = _quad_tolerance_from_nodes(q, data.grid, cfg.T, cfg.tol_fix)
-
+    quad_tol = _quad_tolerance_from_nodes(integrand(p, s, real), data.grid,
+                                          cfg.T, cfg.tol_fix)
+    v = _path(data, p, s)
     result = SolveResult(
         v=v,
         iterations=iterations,
@@ -538,7 +552,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
         ratios_raw=ratios_raw,
     )
     if compute_weak_residual:
-        report = weak_residual(v, data, cfg, part=part)
+        report = weak_residual(v, data, cfg)
         result.weak_residual = report.residual
         result.weak_tolerance = report.tolerance
     return result
@@ -599,7 +613,7 @@ def build_phi(b: TimeField, cfg: SolverConfig, part: DyadicPartition = None,
     g = b.grid
     results = [solve_u(b, i, cfg, part=part, **kwargs) for i in range(g.d)]
     # (M+1, d) + grid: component i of u at every node
-    u = np.stack([_periodic_stack(r.v)[0] for r in results], axis=1)
+    u = np.stack([_stacks(r.v)[0] for r in results], axis=1)
     grad_sup = float(np.max(sup_norms(gradient_stack(u, g), g)))
     phi = TimeField(b.t_grid, [AffinePeriodicField(np.eye(g.d),
                                                    SpectralField(g, u_m))
@@ -615,7 +629,7 @@ def build_phi(b: TimeField, cfg: SolverConfig, part: DyadicPartition = None,
                            v_T=identity_component(g, i))
             v_id = TimeField(b.t_grid,
                              [identity_component(g, i)] * len(b.t_grid))
-            rep = weak_residual(v_id, data, id_cfg, part=part)
+            rep = weak_residual(v_id, data, id_cfg)
             corollary = max(corollary, rep.residual)
     return PhiResult(phi=phi, u_results=results, grad_sup=grad_sup,
                      corollary_residual=corollary, lam=cfg.lam)
@@ -627,8 +641,7 @@ def _interp_slice(tf: TimeField, t: float) -> AffinePeriodicField:
     m = int(np.searchsorted(mesh, t, side="right") - 1)
     m = min(m, len(mesh) - 2)
     w = (t - mesh[m]) / (mesh[m + 1] - mesh[m])
-    a = _as_affine(tf[m])
-    b = _as_affine(tf[m + 1])
+    a, b = tf[m], tf[m + 1]
     slope = (1 - w) * a.slope + w * b.slope
     periodic = (1 - w) * a.periodic + w * b.periodic
     return AffinePeriodicField(slope, periodic)
@@ -684,11 +697,6 @@ def default_test_fields(grid, count: int = 4, max_mode: int = 3,
     return fields
 
 
-def _pairing(chi_hat: np.ndarray, f_coeffs: np.ndarray, grid) -> float:
-    """Integral of chi * f over the torus from mean-normalized coefficients."""
-    return float(np.sum(np.conj(chi_hat) * f_coeffs).real) * grid.L**grid.d
-
-
 @dataclass(eq=False)
 class WeakResidualReport:
     residual: float
@@ -701,63 +709,46 @@ class WeakResidualReport:
 
 
 def weak_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
-                  test_set=None, part: DyadicPartition = None) -> WeakResidualReport:
+                  test_set=None) -> WeakResidualReport:
     """Maximal weak-form defect of v over smooth test fields and mesh times.
 
     Affine slices are reduced to their periodic parts: the slope satisfies
     its decoupled evolution exactly (checked and reported separately) and
     contributes the extra source -slope(s) . b(s) to the periodic channel.
     Pairing against periodic test functions then carries no boundary
-    artifacts from the non-periodic linear growth.  ``part`` is unused,
-    as in ``apply_T``.
+    artifacts from the non-periodic linear growth.
     """
     grid = data.grid
     if test_set is None:
         test_set = default_test_fields(grid)
-    t = v.t_grid
-    h = float(t[1] - t[0])
-    lam = cfg.lam
+    h = float(v.t_grid[1] - v.t_grid[0])
+    p, slopes, real = _stacks(v)
+    b, _, real_b = _stacks(data.b)
+    # np.max, not the builtin max: a NaN slope must show
+    affine_res = float(np.max(np.abs(slopes - _slopes(data, cfg))))
 
-    slices = [_as_affine(s) for s in v.slices]
-    v_T = data.v_T
-    slope_T = v_T.slope
-    affine_res = 0.0
-    for tm, s in zip(t, slices):
-        expected = slope_T * math.exp(-lam * (cfg.T - tm))
-        affine_res = max(affine_res, float(np.abs(s.slope - expected).max()))
-
-    # node values of the periodic weak-form integrand for each test field
-    drift_nodes = []
-    source_nodes = []
-    for s, b_m, g_m in zip(slices, data.b.slices, data.g.slices):
-        grad_p = gradient(s.periodic)
-        drift_nodes.append(drift_term(grad_p, b_m).coeffs)
-        slope_dot_b = np.tensordot(s.slope, b_m.coeffs, axes=(0, 0))
-        source_nodes.append(g_m.coeffs - slope_dot_b)
-    p_nodes = [s.periodic.coeffs for s in slices]
-
+    # node stacks of the periodic weak-form integrand
+    drift = drift_terms(gradient_stack(p, grid), b, grid, real and real_b)
+    source = _stacks(data.g)[0] - np.einsum("md,md...->m...", slopes, b)
     k2 = grid.k_squared()
+    volume = grid.L**grid.d
+
+    def pairing(chi_hat, stack):
+        """Integral of chi * f over the torus at every node."""
+        rows = (np.conj(chi_hat) * stack).reshape(len(stack), -1)
+        return np.sum(rows, axis=1).real * volume
+
     per_test = []
     tolerance = 0.0
     for chi in test_set:
         chi_hat = chi.coeffs
-        lap_chi_hat = -0.5 * k2 * chi_hat
-        a_vals = np.empty(len(t))
-        for m in range(len(t)):
-            a_vals[m] = (
-                _pairing(lap_chi_hat, p_nodes[m], grid)
-                + _pairing(chi_hat, drift_nodes[m], grid)
-                - lam * _pairing(chi_hat, p_nodes[m], grid)
-                - _pairing(chi_hat, source_nodes[m], grid)
-            )
+        chi_p = pairing(chi_hat, p)
+        a_vals = (pairing(-0.5 * k2 * chi_hat, p) + pairing(chi_hat, drift)
+                  - cfg.lam * chi_p - pairing(chi_hat, source))
         # cumulative trapezoid of a_vals from t_m to T
         cells = 0.5 * h * (a_vals[1:] + a_vals[:-1])
         tail = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-        pair_T = _pairing(chi_hat, p_nodes[-1], grid)
-        defects = np.array([
-            pair_T - _pairing(chi_hat, p_nodes[m], grid) + tail[m]
-            for m in range(len(t))
-        ])
+        defects = chi_p[-1] - chi_p + tail
         per_test.append(float(np.abs(defects).max()))
         if len(a_vals) >= 3:
             d2 = np.abs(a_vals[2:] - 2 * a_vals[1:-1] + a_vals[:-2]).max()
@@ -779,13 +770,12 @@ def mild_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     Evaluating the form that was *not* used for the iteration gives an
     independent check of the integral equation satisfied by the solution.
     """
-    image = apply_T(v, data, cfg, part=part, lambda_kernel=lambda_kernel)
-    per_slice = []
-    for a, b in zip(v.slices, image.slices):
-        delta = _as_affine(a) - _as_affine(b)
-        per_slice.append((delta.periodic.sup_norm(), np.abs(delta.slope).max()))
+    p, slopes, real = _stacks(v)
+    q, slopes_q, real_q = _stacks(apply_T(v, data, cfg, part=part,
+                                          lambda_kernel=lambda_kernel))
+    sups = sup_norms(p - q, data.grid, real and real_q)
     # np.max, not the builtin max: a NaN slice must make the residual NaN
-    return float(np.max(per_slice))
+    return float(np.max([sups, np.abs(slopes - slopes_q).max(axis=1)]))
 
 
 def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,
@@ -804,7 +794,7 @@ def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,
         part = dyadic_partition(data.grid)
     if result is None:
         result = solve_mild(data, cfg, part=part, compute_weak_residual=False)
-    p, real = _periodic_stack(result.v)
+    p, _, real = _stacks(result.v)
     lhs = float(np.max(c1plus_norms(p, cfg.alpha, part, real)))
     b_norm = _path_besov_norm(data.b, -cfg.beta, part, "drift")
     g_norm = _path_besov_norm(data.g, -cfg.beta, part, "source")

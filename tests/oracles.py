@@ -5,6 +5,8 @@ against the package: naive DFT summation, dense pair enumeration,
 integrating-factor Runge-Kutta time stepping, bisection, quadrature.
 """
 
+import math
+import math
 import warnings
 from fractions import Fraction
 from math import comb
@@ -14,11 +16,24 @@ import numpy as np
 from besovpde import (
     AffinePeriodicField,
     SpectralField,
+    TimeField,
+    apply_T,
+    besov_norm,
     bony_product,
+    dc_norm,
+    dyadic_partition,
+    dyadic_random_field,
     evaluate_at,
     gradient,
 )
-from besovpde.grid import _embed_axis, refined_samples
+from besovpde.grid import _embed_axis, _padded_samples
+from besovpde.lp import rho_time_norm_log
+from besovpde.solver import default_test_fields
+
+
+def refined_samples(f, refine):
+    """Samples of one field on the ``refine``-times finer grid."""
+    return _padded_samples(f.coeffs, f.grid, f.real, refine)
 
 
 def naive_dft_1d(samples):
@@ -226,30 +241,216 @@ def per_block_sup_norms(f, part, refine=2):
         for w in part.windows])
 
 
-def per_slice_increment_norms(v_new, v_old, cfg, kind, part):
-    """The Picard increment norms, one slice difference at a time.
+def _affine(s):
+    if isinstance(s, SpectralField):
+        return AffinePeriodicField.from_periodic(s)
+    return s
+
+
+def _increment_norm(delta, kind, alpha, part):
+    """One slice's dc or c1plus norm, the Besov norm block by block.
 
     ``dc``: |dv(0)| + ||slope + grad dp||_alpha; ``c1plus``:
-    sup |dp| + ||grad dp||_alpha, each Besov norm through
-    ``per_block_sup_norms``.  The per-slice loop the solver's stacked
-    increment norms replaced.
+    sup |dp| + ||grad dp||_alpha.
     """
-    def affine(s):
-        if isinstance(s, SpectralField):
-            return AffinePeriodicField.from_periodic(s)
-        return s
+    d = delta.grid.d
+    if kind == "dc":
+        origin = float(np.abs(evaluate_at(delta, np.zeros(d))))
+        grad = delta.gradient_field()
+    else:
+        origin = _sup_of_samples(refined_samples(delta.periodic, 2), (), d)
+        grad = gradient(delta.periodic)
+    sups = per_block_sup_norms(grad, part)
+    return origin + float(np.max(2.0 ** (part.j_indices * alpha) * sups))
 
-    norms = []
-    for a, b in zip(v_new.slices, v_old.slices):
-        delta = affine(a) - affine(b)
-        d = delta.grid.d
-        if kind == "dc":
-            origin = float(np.abs(evaluate_at(delta, np.zeros(d))))
-            grad = delta.gradient_field()
-        else:
-            origin = _sup_of_samples(refined_samples(delta.periodic, 2), (), d)
-            grad = gradient(delta.periodic)
-        sups = per_block_sup_norms(grad, part)
-        norms.append(origin
-                     + float(np.max(2.0 ** (part.j_indices * cfg.alpha) * sups)))
-    return np.asarray(norms)
+
+def per_slice_dc_norms(slopes, coeffs, alpha, part, real=True):
+    """``lp.dc_norms`` one field at a time, through ``_increment_norm``.
+
+    The per-slice loop the solver's stacked increment norms replaced.
+    """
+    return np.array([
+        _increment_norm(AffinePeriodicField(s, SpectralField(part.grid, c,
+                                                             real=real)),
+                        "dc", alpha, part)
+        for s, c in zip(slopes, coeffs)])
+
+
+def per_slice_c1plus_norms(coeffs, alpha, part, real=True):
+    """``lp.c1plus_norms`` one field at a time, through ``_increment_norm``."""
+    return np.array([
+        _increment_norm(AffinePeriodicField.from_periodic(
+            SpectralField(part.grid, c, real=real)), "c1plus", alpha, part)
+        for c in coeffs])
+
+
+# ---------------------------------------------------------------------------
+# the Picard machinery one mesh node at a time
+
+
+def _truncate_one(fine_samples, grid):
+    """Coefficients on the coarse band of one field's 2x-grid samples:
+    modes beyond the band dropped, the +-n/2 pair merged into Nyquist."""
+    n, d = grid.n, grid.d
+    fine_n = fine_samples.shape[-1]
+    axes = tuple(range(fine_samples.ndim - d, fine_samples.ndim))
+    coeffs = np.fft.fftn(fine_samples, axes=axes) / fine_n**d
+    idx = np.concatenate([np.arange(0, n // 2), [n // 2],
+                          np.arange(fine_n - n // 2 + 1, fine_n)])
+    for ax in range(d):
+        axis = coeffs.ndim - d + ax
+        neg_nyq = np.take(coeffs, fine_n - n // 2, axis=axis)
+        coeffs = np.take(coeffs, idx, axis=axis)
+        nyq = [slice(None)] * coeffs.ndim
+        nyq[axis] = n // 2
+        coeffs[tuple(nyq)] += neg_nyq
+    return coeffs
+
+
+def node_drift_term(w, b):
+    """w . b for two vector fields: one 2x-grid product summed over
+    components, then truncated.  Package code for the samples; the
+    single-field pairing the stacked ``paraproduct.drift_terms`` replaced.
+    """
+    prod = np.sum(refined_samples(w, 2) * refined_samples(b, 2), axis=0)
+    return SpectralField(w.grid, _truncate_one(prod, w.grid),
+                         real=not np.iscomplexobj(prod))
+
+
+def per_node_drift_terms(w, b, grid, real=True):
+    """``paraproduct.drift_terms`` as a loop of ``node_drift_term``."""
+    return np.array([node_drift_term(SpectralField(grid, wi, real=real),
+                                     SpectralField(grid, bi, real=real)).coeffs
+                     for wi, bi in zip(w, b)])
+
+
+def _node_sweep(q_nodes, mu, dt):
+    """Backward sweep of exp(-mu (s - t_m)) against the piecewise-linear
+    interpolant of the node values q, one cell at a time."""
+    a = mu * dt
+    safe = np.where(a > 0, a, 1.0)
+    em = np.expm1(-safe)
+    p1 = np.where(a > 0, -em / safe, 1.0)
+    p2 = np.where(a > 0, (safe + em) / safe**2, 0.5)
+    decay, w_left, w_right = np.exp(-a), dt * p2, dt * (p1 - p2)
+    out = np.zeros_like(q_nodes)
+    acc = np.zeros_like(q_nodes[0])
+    for m in range(len(q_nodes) - 2, -1, -1):
+        acc = decay * acc + w_left * q_nodes[m] + w_right * q_nodes[m + 1]
+        out[m] = acc
+    return out
+
+
+def per_node_apply_T(v, data, cfg, lambda_kernel=None):
+    """The Duhamel operator with the drift paired one node at a time.
+
+    Package code for the fields; the per-node form of ``solver.apply_T``
+    that the coefficient-stack operator replaced.
+    """
+    if lambda_kernel is None:
+        lambda_kernel = cfg.uses_lambda_kernel()
+    g = data.grid
+    slices = [_affine(s) for s in v.slices]
+    drift = np.array([node_drift_term(s.gradient_field(), b_m).coeffs
+                      for s, b_m in zip(slices, data.b.slices)])
+    g_coeffs = np.array([s.coeffs for s in data.g.slices])
+    if lambda_kernel:
+        q = drift - g_coeffs
+        mu = cfg.lam + 0.5 * g.k_squared()
+    else:
+        q = drift - cfg.lam * np.array([s.periodic.coeffs for s in slices]) \
+            - g_coeffs
+        mu = 0.5 * g.k_squared()
+    integrals = _node_sweep(q, mu, cfg.T / cfg.M)
+    v_T = data.v_T
+    out = []
+    for m, t in enumerate(v.t_grid):
+        tail = cfg.T - t
+        coeffs = np.exp(-mu * tail) * v_T.periodic.coeffs + integrals[m]
+        out.append(AffinePeriodicField(
+            v_T.slope * math.exp(-cfg.lam * tail),
+            SpectralField(g, coeffs, real=v_T.periodic.real)))
+    return TimeField(v.t_grid, out)
+
+
+def per_node_weak_residual(v, data, cfg, test_set=None):
+    """``solver.weak_residual`` one node and one pairing at a time.
+
+    Returns (residual, tolerance, per_test, affine_residual).
+    """
+    grid = data.grid
+    if test_set is None:
+        test_set = default_test_fields(grid)
+    t = v.t_grid
+    h = float(t[1] - t[0])
+    lam = cfg.lam
+    slices = [_affine(s) for s in v.slices]
+    slope_T = data.v_T.slope
+    affine_res = 0.0
+    for tm, s in zip(t, slices):
+        expected = slope_T * math.exp(-lam * (cfg.T - tm))
+        affine_res = max(affine_res, float(np.abs(s.slope - expected).max()))
+
+    def pairing(chi_hat, f_coeffs):
+        return float(np.sum(np.conj(chi_hat) * f_coeffs).real) * grid.L**grid.d
+
+    drift_nodes, source_nodes = [], []
+    for s, b_m, g_m in zip(slices, data.b.slices, data.g.slices):
+        drift_nodes.append(node_drift_term(gradient(s.periodic), b_m).coeffs)
+        slope_dot_b = np.tensordot(s.slope, b_m.coeffs, axes=(0, 0))
+        source_nodes.append(g_m.coeffs - slope_dot_b)
+    p_nodes = [s.periodic.coeffs for s in slices]
+    k2 = grid.k_squared()
+    per_test = []
+    tolerance = 0.0
+    for chi in test_set:
+        chi_hat = chi.coeffs
+        lap_chi_hat = -0.5 * k2 * chi_hat
+        a_vals = np.array([
+            pairing(lap_chi_hat, p_nodes[m]) + pairing(chi_hat, drift_nodes[m])
+            - lam * pairing(chi_hat, p_nodes[m])
+            - pairing(chi_hat, source_nodes[m])
+            for m in range(len(t))])
+        cells = 0.5 * h * (a_vals[1:] + a_vals[:-1])
+        tail = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
+        pair_T = pairing(chi_hat, p_nodes[-1])
+        defects = np.array([pair_T - pairing(chi_hat, p_nodes[m]) + tail[m]
+                            for m in range(len(t))])
+        per_test.append(float(np.abs(defects).max()))
+        d2 = np.abs(a_vals[2:] - 2 * a_vals[1:-1] + a_vals[:-2]).max()
+        tolerance = max(tolerance, cfg.T * d2 / 12.0)
+    tolerance = max(tolerance, 20.0 * cfg.tol_fix)
+    return max(per_test), tolerance, np.asarray(per_test), affine_res
+
+
+def convolution_constant_by_apply_T(grid, alpha, beta, seed, T=1.0, M=64,
+                                    n_fields=6):
+    """``calibration.calibrate_convolution`` with the time integral taken
+    by ``apply_T``: T(0) for zero drift, zero terminal data and g = -l is
+    the integral of P l.  Every slice norm is measured on its own."""
+    from besovpde import PDEData, SolverConfig
+
+    part = dyadic_partition(grid)
+    mesh = TimeField.uniform_mesh(T, M)
+    cfg = SolverConfig(beta=beta, eps=1e-3, alpha=alpha, T=T, M=M,
+                       lam=0.0, rho=1.0)
+    zero_b = TimeField(mesh, [SpectralField.zero(grid, (grid.d,))] * (M + 1))
+    zero_v = TimeField(mesh, [AffinePeriodicField(np.zeros(grid.d),
+                                                  SpectralField.zero(grid))]
+                       * (M + 1))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    worst = 0.0
+    for s in seed.spawn(n_fields):
+        ell0 = dyadic_random_field(grid, -beta, s, part=part)
+        data = PDEData(b=zero_b, g=TimeField(mesh, [(-1.0) * ell0] * (M + 1)),
+                       v_T=SpectralField.zero(grid))
+        image = apply_T(zero_v, data, cfg, part)
+        x_norms = np.array([dc_norm(sl, alpha, part) for sl in image.slices])
+        l_norms = np.array([besov_norm(ell0, -beta, part).value] * (M + 1))
+        for rho in (1.0, 4.0, 16.0, 64.0):
+            num = rho_time_norm_log(x_norms, mesh, rho)
+            den = rho_time_norm_log(l_norms, mesh, rho)
+            scale = 0.5 * (alpha + beta - 1.0) * math.log(rho)
+            worst = max(worst, math.exp(num - den - scale))
+    return worst

@@ -265,7 +265,7 @@ def test_c08_weak_mild_equivalence(grid, part, smooth_solve, rough_solve):
         AffinePeriodicField(s.slope,
                             s.periodic + to_fourier(0.1 * np.sin(x), grid))
         for s in res3.v.slices])
-    rep_bad = weak_residual(bad, data3, cfg3, part=part)
+    rep_bad = weak_residual(bad, data3, cfg3)
     amplified = rep_bad.residual >= 100.0 * max(res3.weak_residual, 1e-300)
     report(8, "weak/mild equivalence",
            ok_solves and amplified,
@@ -342,7 +342,7 @@ def test_c11_identity_solves_drift_equation(grid, part, rough_drift):
                        v_T=identity_component(grid, 0))
         cfg = SolverConfig(beta=BETA, eps=EPS, T=T, M=M, lam=0.0, rho=60.0)
         v_id = TimeField(mesh, [identity_component(grid, 0)] * (M + 1))
-        rep = weak_residual(v_id, data, cfg, part=part)
+        rep = weak_residual(v_id, data, cfg)
         worst_weak = max(worst_weak, rep.residual)
         res = solve_mild(data, cfg, part=part, compute_weak_residual=False)
         worst_fixed = max(worst_fixed, max(

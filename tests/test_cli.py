@@ -277,6 +277,42 @@ def test_corrupt_field_file_exits_2_naming_the_cause(tmp_path, capsys, edit,
     assert cause in capsys.readouterr().err
 
 
+def _field_with_header(tmp_path, edit):
+    """A saved 1D field file with its JSON header passed through edit."""
+    path = _corrupt_field(tmp_path, lambda raw: raw)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n"
+                     + payload)
+    return path
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (_without("d"), "header has no 'd'"),
+    (_without("n"), "header has no 'n'"),
+    (_without("L"), "header has no 'L'"),
+    (_without("components"), "header has no 'components'"),
+    (lambda h: {**h, "d": "1"}, "header 'd' must be an integer, got '1'"),
+    (lambda h: {**h, "n": 64.0}, "header 'n' must be an integer, got 64.0"),
+    (lambda h: {**h, "L": None}, "header 'L' must be a number, got None"),
+    (lambda h: {**h, "components": True},
+     "header 'components' must be an integer, got True"),
+    (lambda h: list(h.items()), "header is not a JSON object"),
+], ids=["no-d", "no-n", "no-L", "no-components", "str-d", "float-n",
+        "null-L", "bool-components", "list"])
+def test_bad_field_header_exits_2_naming_the_cause(tmp_path, capsys, edit,
+                                                   cause):
+    path = _field_with_header(tmp_path, edit)
+    conf = write(tmp_path, BASE + f'field.path = "{path}"\n')
+    rc = main(["besov-norm", "--config", str(conf),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert cause in capsys.readouterr().err
+
+
 def test_solve_with_mollified_drift(calibrated):
     tmp, conf, cal = calibrated
     mol_conf = write(tmp, BASE + 'drift.kind = "mollified"\n'

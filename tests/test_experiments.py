@@ -16,10 +16,12 @@ from besovpde import (
     bernstein_path,
     besov_norm,
     continuity_study_phi,
+    dc_norm,
     continuity_study_v,
     dyadic_partition,
     dyadic_random_field,
     gen_drift,
+    invert_phi,
     mollification_density_check,
     mollify_timefield,
     smooth_cutoff,
@@ -185,6 +187,68 @@ def test_continuity_v_errors_keep_a_nan_solution_slice(grid64, part64,
     assert np.isnan(study.errors["v_dc"][0])
     assert np.isnan(study.errors["grad_v"][0])
     assert study.errors["v_dc"][1] == 0.0
+    assert not study.finite()
+
+
+def test_continuity_v_errors_match_per_node_norms(grid64, part64,
+                                                 monkeypatch):
+    # one stacked gradient norm per rung against the per-node dc_norm and
+    # Besov norm of the gradient it replaced; tolerance: exact equality
+    b = _static_rough_drift(grid64, part64, M=8)
+    g = TimeField(b.t_grid, [SpectralField.zero(grid64)] * 9)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=8, lam=0.0, rho=30.0)
+    solves = []
+    real_solve = experiments._solve
+
+    def recording(data, cfg, part):
+        solves.append(real_solve(data, cfg, part))
+        return solves[-1]
+
+    monkeypatch.setattr(experiments, "_solve", recording)
+    study = continuity_study_v(b, g, _affine_terminal(grid64), cfg,
+                               eps_list=[2.0**-3, 2.0**-5, 2.0**-7],
+                               part=part64)
+    ref, rungs = solves[0], solves[1:]
+    err_v, err_grad = [], []
+    for sol in rungs:
+        deltas = [a - c for a, c in zip(sol.v.slices, ref.v.slices)]
+        err_v.append(np.max([dc_norm(dv, cfg.alpha, part64)
+                             for dv in deltas]))
+        err_grad.append(np.max([
+            besov_norm(dv.gradient_field(), cfg.alpha, part64).value
+            for dv in deltas]))
+    assert np.array_equal(study.errors["v_dc"], err_v)
+    assert np.array_equal(study.errors["grad_v"], err_grad)
+    assert min(err_grad) > 0.0
+
+
+def test_continuity_phi_ladders_keep_a_nan_slice(grid64, part64,
+                                                 monkeypatch):
+    # NaN in slice 2 of 5 of the first rung's u: the builtin max() dropped
+    # it from the u, grad u, phi, psi and grad phi ladders
+    b = _static_rough_drift(grid64, part64)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=4, lam=1.0, rho=1.0)
+    u = AffinePeriodicField(
+        np.zeros(1), to_fourier(0.1 * np.sin(grid64.axis_points()), grid64))
+    clean = TimeField(b.t_grid, [u] * 5)
+    results = iter([clean, nan_in_slice(clean), clean])
+    monkeypatch.setattr(experiments, "solve_u", lambda *args, **kwargs:
+                        SimpleNamespace(v=next(results)))
+
+    def invert(phi, t, y, tol):
+        # a slice with a NaN has no inverse: report it as NaN
+        m = int(np.argmin(np.abs(phi.t_grid - t)))
+        if not np.isfinite(phi[m].periodic.coeffs).all():
+            return np.full(1, np.nan)
+        return invert_phi(phi, t, y, tol=tol)
+
+    monkeypatch.setattr(experiments, "invert_phi", invert)
+    study = continuity_study_phi(b, cfg, [2.0**-4, 2.0**-6], c_cal=1.5,
+                                 part=part64)
+    for name in ("u", "grad_u", "phi", "psi", "grad_phi_sup"):
+        assert np.isnan(study.errors[name][0]), name
+        assert np.isfinite(study.errors[name][1]), name
+    assert study.errors["u"][1] == 0.0
     assert not study.finite()
 
 

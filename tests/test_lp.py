@@ -18,11 +18,16 @@ from besovpde import (
     holder_norm,
     interior_mode_field,
     lp_blocks,
-    rho_time_norm,
     to_fourier,
 )
 from besovpde.grid import CHUNK_BYTES, gradient_stack, sup_norms
-from besovpde.lp import besov_norms, block_sup_stack, dc_norms
+from besovpde.lp import (
+    besov_norms,
+    block_sup_stack,
+    c1plus_norms,
+    dc_norms,
+    rho_time_norm_log,
+)
 from oracles import dense_holder_norm_1d, per_block_sup_norms
 
 RING_LOW, RING_HIGH = 0.75, 4.0 / 3.0
@@ -219,18 +224,24 @@ def test_dc_norm_rejects_bad_exponent(grid64):
         dc_norm(f, 1.0)
 
 
+def besov_time_norm(tf, rho, gamma, part):
+    """The rho-weighted C_T C^gamma norm of a path from its stacked norms."""
+    norms = besov_norms(np.array([s.coeffs for s in tf.slices]), gamma, part)
+    return float(np.exp(rho_time_norm_log(norms, tf.t_grid, rho)))
+
+
 def test_rho_zero_is_plain_sup(grid64, part64):
     fields = [dyadic_random_field(grid64, 0.5, seed=s, part=part64)
               for s in range(4)]
     tf = TimeField(TimeField.uniform_mesh(1.0, 3), fields)
     plain = max(besov_norm(f, 0.5, part64).value for f in fields)
-    assert abs(rho_time_norm(tf, 0.0, "besov", 0.5, part64) - plain) < 1e-14
+    assert abs(besov_time_norm(tf, 0.0, 0.5, part64) - plain) < 1e-14
 
 
 def test_rho_constant_slices(grid64, part64):
     f = interior_mode_field(grid64, {3: 1.0}, seed=2, part=part64)
     tf = TimeField(TimeField.uniform_mesh(1.0, 8), [f] * 9)
-    val = rho_time_norm(tf, 1.0, "besov", 0.0, part64)
+    val = besov_time_norm(tf, 1.0, 0.0, part64)
     assert abs(val - 1.0) < 1e-10  # attained at t = T where the weight is 1
 
 
@@ -239,7 +250,7 @@ def test_rho_linear_growth_maximization(grid64, part64):
     base = interior_mode_field(grid64, {3: 1.0}, seed=2, part=part64)
     mesh = TimeField.uniform_mesh(1.0, 16)
     tf = TimeField(mesh, [t * base for t in mesh])
-    val = rho_time_norm(tf, 2.0, "besov", 0.0, part64)
+    val = besov_time_norm(tf, 2.0, 0.0, part64)
     ref = max(t * np.exp(-2.0 * (1.0 - t)) for t in mesh)
     assert abs(val - ref) < 1e-10
     assert abs(ref - 1.0) < 1e-12
@@ -278,25 +289,24 @@ def test_rho_time_norm_keeps_a_nan_slice(grid64, part64):
     coeffs[3] = np.nan
     fields[2] = SpectralField(grid64, coeffs)
     tf = TimeField(TimeField.uniform_mesh(1.0, 4), fields)
-    assert math.isnan(rho_time_norm(tf, 0.0, "besov", 0.5, part64))
+    assert math.isnan(besov_time_norm(tf, 0.0, 0.5, part64))
 
 
-def test_rho_time_norm_other_kinds(grid64, part64):
-    x = grid64.axis_points()
-    f = to_fourier(np.sin(x), grid64)
-    tf = TimeField(TimeField.uniform_mesh(1.0, 4), [f] * 5)
-    assert rho_time_norm(tf, 0.0, "holder", 0.5) == holder_norm(f, 0.5)
+def test_rho_time_norm_of_dc_and_c1plus_stacks(grid64, part64):
+    # constant paths: the stacked norms repeat the single-field norm bit for
+    # bit, and the unweighted time norm is that norm
+    mesh = TimeField.uniform_mesh(1.0, 4)
+    f = to_fourier(np.sin(grid64.axis_points()), grid64)
+    coeffs = np.array([f.coeffs] * 5)
     aff = AffinePeriodicField(np.array([1.0]), f)
-    tfa = TimeField(TimeField.uniform_mesh(1.0, 4), [aff] * 5)
-    assert rho_time_norm(tfa, 0.0, "dc", 0.4, part64) == dc_norm(aff, 0.4,
-                                                                 part64)
+    dc = dc_norms(np.ones((5, 1)), coeffs, 0.4, part64)
+    assert np.array_equal(dc, [dc_norm(aff, 0.4, part64)] * 5)
     from besovpde import c1plus_norm
-    assert rho_time_norm(tf, 0.0, "c1plus", 0.4, part64) == c1plus_norm(
-        f, 0.4, part64)
-    with pytest.raises(ValueError):
-        rho_time_norm(tf, -1.0, "besov", 0.5, part64)
-    with pytest.raises(ValueError):
-        rho_time_norm(tf, 0.0, "nonsense", 0.5, part64)
+    c1 = c1plus_norms(coeffs, 0.4, part64)
+    assert np.array_equal(c1, [c1plus_norm(f, 0.4, part64)] * 5)
+    for norms in (dc, c1):
+        assert np.exp(rho_time_norm_log(norms, mesh, 0.0)) == pytest.approx(
+            norms[0], rel=1e-15)
 
 
 def test_holder_two_dimensional_vs_dense_enumeration():

@@ -1,10 +1,13 @@
 import warnings
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovpde import (
+    GridError,
     SpectralField,
     TimeField,
     TorusGrid,
@@ -15,11 +18,13 @@ from besovpde import (
     dyadic_partition,
     dyadic_random_field,
     interior_mode_field,
-    rho_time_norm,
     to_fourier,
 )
-from besovpde.lp import rho_time_norm_log
-from oracles import bony_drift_pairing
+from besovpde import paraproduct
+from besovpde.grid import _padded_samples
+from besovpde.lp import besov_norms, rho_time_norm_log
+from besovpde.paraproduct import drift_terms
+from oracles import bony_drift_pairing, per_node_drift_terms
 
 
 def test_unit_of_the_product(grid128, part128):
@@ -125,6 +130,51 @@ def test_drift_term_matches_grid_dot_product(grid2d, rng):
     assert (out - ref).sup_norm() < 1e-10
 
 
+# grids on which a handful of rows spans several chunks of the pairing:
+# 4 real or 2 complex rows a chunk in 1D and 2D, 1 in 3D
+_CHUNKED_GRIDS = {1: TorusGrid(d=1, n=1024), 2: TorusGrid(d=2, n=16),
+                  3: TorusGrid(d=3, n=8)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), rows=st.integers(1, 7),
+       real=st.booleans(), seed=st.integers(0, 10_000))
+def test_drift_terms_match_per_node_loop(d, rows, real, seed):
+    # the stacked, chunked pairing against the per-node drift_term loop it
+    # replaced; tolerance: exact equality
+    grid = _CHUNKED_GRIDS[d]
+    chunk = {1: 4, 2: 4, 3: 1}[d] if real else {1: 2, 2: 2, 3: 1}[d]
+    rng = np.random.default_rng(seed)
+    shape = (rows, d) + grid.shape
+    if real:   # Hermitian coefficients: transforms of real samples
+        w, b = (np.fft.fftn(rng.standard_normal(shape),
+                            axes=tuple(range(2, 2 + d))) / grid.n**d
+                for _ in range(2))
+    else:
+        w, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for _ in range(2))
+    oracle = per_node_drift_terms(w, b, grid, real)
+    sizes = []
+
+    def spy(coeffs, *args):
+        sizes.append(len(coeffs))
+        return _padded_samples(coeffs, *args)
+
+    with mock.patch.object(paraproduct, "_padded_samples", spy):
+        fast = drift_terms(w, b, grid, real)
+    assert sizes == [n for n in [chunk] * (rows // chunk) + [rows % chunk]
+                     if n for _ in range(2)]
+    assert np.array_equal(fast, oracle)
+
+
+def test_drift_terms_rejects_mismatched_stacks(grid2d):
+    w = np.zeros((3, 2) + grid2d.shape, dtype=complex)
+    with pytest.raises(GridError):
+        drift_terms(w, w[:2], grid2d)
+    with pytest.raises(GridError):
+        drift_terms(w[:, :1], w[:, :1], grid2d)
+
+
 @settings(max_examples=20, deadline=None)
 @given(d=st.sampled_from([1, 2]), gamma_w=st.floats(-0.5, 1.5),
        gamma_b=st.floats(-1.0, 0.5), log_amp=st.floats(-3.0, 3.0),
@@ -168,6 +218,12 @@ def _random_timefield(grid, part, gamma, seed, M=6, T=1.0):
     return TimeField(TimeField.uniform_mesh(T, M), fields)
 
 
+def _sup_in_time(tf, gamma, part):
+    """The unweighted C_T C^gamma norm of a path from its stacked norms."""
+    norms = besov_norms(np.array([s.coeffs for s in tf.slices]), gamma, part)
+    return float(np.exp(rho_time_norm_log(norms, tf.t_grid, 0.0)))
+
+
 def test_time_sliced_product_bound(grid64, part64):
     # calibrated slice-wise constant controls the sup-in-time product norm
     alpha, beta = 0.6, 0.3
@@ -186,9 +242,9 @@ def test_time_sliced_product_bound(grid64, part64):
         prod = TimeField(f.t_grid, [
             bony_product(fs, alpha, gs, beta, part64).total
             for fs, gs in zip(f.slices, g.slices)])
-        lhs = rho_time_norm(prod, 0.0, "besov", -beta, part64)
-        rhs = (c_cal * rho_time_norm(f, 0.0, "besov", alpha, part64)
-               * rho_time_norm(g, 0.0, "besov", -beta, part64))
+        lhs = _sup_in_time(prod, -beta, part64)
+        rhs = (c_cal * _sup_in_time(f, alpha, part64)
+               * _sup_in_time(g, -beta, part64))
         assert lhs <= rhs * (1.0 + 1e-12)
 
 

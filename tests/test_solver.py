@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from besovpde import grid as grid_mod
+from besovpde import paraproduct as paraproduct_mod
 from besovpde import solver
 from besovpde import (
     AffinePeriodicField,
@@ -39,14 +40,19 @@ from besovpde.solver import (
     _quad_tolerance_from_nodes,
     identity_component,
 )
-from besovpde.calibration import pair_key
+from besovpde.calibration import calibrate_convolution, pair_key
 from oracles import (
     bisect_inverse,
     bony_drift_pairing,
     complex_padded_samples,
+    convolution_constant_by_apply_T,
     gamma_by_quadrature,
     mol_reference_1d,
-    per_slice_increment_norms,
+    per_node_apply_T,
+    per_node_drift_terms,
+    per_node_weak_residual,
+    per_slice_c1plus_norms,
+    per_slice_dc_norms,
 )
 
 
@@ -327,8 +333,9 @@ def test_uniqueness_probe(grid64, part64):
     data = make_data(grid64, mesh, b=b, v_T=v_T)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=8.0)
     res_zero = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
-    from besovpde.solver import _zero_iterate
-    t0 = apply_T(_zero_iterate(data, cfg), data, cfg, part64)
+    zero = TimeField(mesh, [AffinePeriodicField(np.zeros(1),
+                                                zero_scalar(grid64))] * (M + 1))
+    t0 = apply_T(zero, data, cfg, part64)
     res_t0 = solve_mild(data, cfg, part=part64, v0=t0,
                         compute_weak_residual=False)
     worst = max((res_zero.v[m].periodic - res_t0.v[m].periodic).sup_norm()
@@ -552,8 +559,9 @@ def _bounded_modulated_2d(M=8):
 @pytest.mark.parametrize("case", ["affine-1d", "bounded-2d"])
 def test_stacked_increment_norms_match_per_slice_loop(grid64, part64,
                                                       monkeypatch, case):
-    # the same solve with the increment norms taken one slice at a time;
-    # the arithmetic is the same, so everything must agree bit for bit
+    # the same solve with the increment norms (solver.dc_norms and
+    # solver.c1plus_norms) taken one slice at a time; the arithmetic is the
+    # same, so everything must agree bit for bit
     if case == "affine-1d":
         data, part = _affine_rough_1d(grid64, part64), part64
     else:
@@ -562,7 +570,8 @@ def test_stacked_increment_norms_match_per_slice_loop(grid64, part64,
     cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=M, lam=0.0, rho=8.0)
     fast = solve_mild(data, cfg, part=part, compute_weak_residual=False)
     assert fast.norm_kind == ("dc" if case == "affine-1d" else "c1plus")
-    monkeypatch.setattr(solver, "_increment_norms", per_slice_increment_norms)
+    monkeypatch.setattr(solver, "dc_norms", per_slice_dc_norms)
+    monkeypatch.setattr(solver, "c1plus_norms", per_slice_c1plus_norms)
     slow = solve_mild(data, cfg, part=part, compute_weak_residual=False)
     assert fast.iterations == slow.iterations
     assert fast.ratios_raw == slow.ratios_raw
@@ -570,6 +579,98 @@ def test_stacked_increment_norms_match_per_slice_loop(grid64, part64,
     for a, b in zip(fast.v.slices, slow.v.slices):
         assert np.array_equal(a.periodic.coeffs, b.periodic.coeffs)
         assert np.array_equal(a.slope, b.slope)
+
+
+def _random_path(data, seed):
+    """An affine path on the data's mesh with rough periodic parts."""
+    grid = data.grid
+    part = dyadic_partition(grid)
+    rng = np.random.default_rng(seed)
+    slices = [AffinePeriodicField(rng.standard_normal(grid.d),
+                                  dyadic_random_field(grid, 0.6, (seed, m),
+                                                      part=part))
+              for m in range(len(data.b.t_grid))]
+    return TimeField(data.b.t_grid, slices)
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+@pytest.mark.parametrize("case", ["affine-1d", "bounded-2d"])
+def test_apply_T_matches_per_node_operator(grid64, part64, case, kernel):
+    # the coefficient-stack operator against the per-node form it replaced,
+    # on a rough iterate, with the lam-term in the integrand and in the
+    # kernel; tolerance: exact equality
+    if case == "affine-1d":
+        data, part = _affine_rough_1d(grid64, part64), part64
+    else:
+        data, part = _bounded_modulated_2d()
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=2.0,
+                       rho=8.0)
+    v = _random_path(data, 5)
+    fast = apply_T(v, data, cfg, part, lambda_kernel=kernel)
+    slow = per_node_apply_T(v, data, cfg, lambda_kernel=kernel)
+    for a, b in zip(fast.slices, slow.slices):
+        assert np.array_equal(a.periodic.coeffs, b.periodic.coeffs)
+        assert np.array_equal(a.slope, b.slope)
+        assert a.periodic.real == b.periodic.real
+
+
+@pytest.mark.parametrize("case", ["affine-1d", "bounded-2d"])
+def test_solve_with_per_node_drift_pairing_is_identical(grid64, part64,
+                                                        monkeypatch, case):
+    # a whole solve with the stacked pairing replaced by the per-node loop:
+    # the same iterations, ratios and coefficients, bit for bit
+    if case == "affine-1d":
+        data, part = _affine_rough_1d(grid64, part64), part64
+    else:
+        data, part = _bounded_modulated_2d()
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0)
+    fast = solve_mild(data, cfg, part=part)
+    monkeypatch.setattr(solver, "drift_terms", per_node_drift_terms)
+    slow = solve_mild(data, cfg, part=part)
+    assert fast.iterations == slow.iterations
+    assert fast.ratios_raw == slow.ratios_raw
+    assert fast.quad_tolerance == slow.quad_tolerance
+    assert fast.weak_residual == slow.weak_residual
+    for a, b in zip(fast.v.slices, slow.v.slices):
+        assert np.array_equal(a.periodic.coeffs, b.periodic.coeffs)
+        assert np.array_equal(a.slope, b.slope)
+
+
+@pytest.mark.parametrize("case", ["affine-1d", "bounded-2d", "random-2d"])
+def test_weak_residual_matches_per_node_loop(grid64, part64, case):
+    # stacked pairings against the node-by-node loop they replaced.  Each
+    # node's modes are summed in the same order, but the loop forms
+    # slope . b through a BLAS product: tolerance 1e-12 relative
+    if case == "affine-1d":
+        data, part = _affine_rough_1d(grid64, part64), part64
+    else:
+        data, part = _bounded_modulated_2d()
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=1.0,
+                       rho=8.0)
+    if case == "random-2d":   # rough slopes and periodic parts, no solve
+        v = _random_path(data, 9)
+    else:
+        v = solve_mild(data, cfg, part=part, compute_weak_residual=False).v
+    rep = weak_residual(v, data, cfg)
+    residual, tolerance, per_test, affine = per_node_weak_residual(v, data,
+                                                                   cfg)
+    assert rep.residual == pytest.approx(residual, rel=1e-12)
+    assert rep.tolerance == pytest.approx(tolerance, rel=1e-12)
+    assert np.allclose(rep.per_test, per_test, rtol=1e-12, atol=0.0)
+    assert rep.affine_residual == affine
+
+
+@pytest.mark.parametrize("d, n, M", [(1, 64, 16), (2, 16, 8)])
+def test_closed_form_convolution_matches_apply_T(d, n, M):
+    # calibrate's closed-form time integral against the same constant
+    # measured on apply_T's image of zero; tolerance 1e-14 relative
+    grid = TorusGrid(d=d, n=n)
+    fast = calibrate_convolution(grid, 0.35, 0.3, (3, 19), T=1.0, M=M,
+                                 n_fields=2)
+    slow = convolution_constant_by_apply_T(grid, 0.35, 0.3, (3, 19), T=1.0,
+                                           M=M, n_fields=2)
+    assert fast == pytest.approx(slow, rel=1e-14)
 
 
 def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
@@ -584,8 +685,12 @@ def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
     data = make_data(grid64, mesh, b=TimeField(mesh, [b0] * (M + 1)), v_T=v_T)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=8.0)
     fast = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
-    monkeypatch.setattr(solver, "drift_term", lambda w, b: bony_drift_pairing(
-        w, b, cfg.alpha, cfg.beta, part64))
+    def bony_rows(w, b, grid, real):
+        return np.array([bony_drift_pairing(
+            SpectralField(grid, wi, real=real), SpectralField(grid, bi, real=real),
+            cfg.alpha, cfg.beta, part64).coeffs for wi, bi in zip(w, b)])
+
+    monkeypatch.setattr(solver, "drift_terms", bony_rows)
     slow = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
     gap = max(max((a.periodic - b.periodic).sup_norm(),
                   float(np.abs(a.slope - b.slope).max()))
@@ -614,6 +719,7 @@ def test_solve_with_complex_padded_samples_agrees(grid64, part64,
         return complex_padded_samples(*args)
 
     monkeypatch.setattr(grid_mod, "_padded_samples", oracle)
+    monkeypatch.setattr(paraproduct_mod, "_padded_samples", oracle)
     slow = solve_mild(data, cfg, part=part, compute_weak_residual=False)
     assert calls
     assert fast.iterations == slow.iterations
@@ -770,7 +876,7 @@ def test_weak_residual_heat_case(grid64, part64, rng):
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=1.0)
     slices = [AffinePeriodicField(np.zeros(1), apply_heat(T - t, v_T))
               for t in mesh]
-    rep = weak_residual(TimeField(mesh, slices), data, cfg, part=part64)
+    rep = weak_residual(TimeField(mesh, slices), data, cfg)
     assert rep.residual <= rep.tolerance
     assert rep.affine_residual < 1e-14
 
@@ -788,7 +894,7 @@ def test_weak_residual_flags_perturbation(grid64, part64):
         AffinePeriodicField(s.slope,
                             s.periodic + to_fourier(0.1 * np.sin(x), grid64))
         for s in res.v.slices])
-    rep = weak_residual(bad, data, cfg, part=part64)
+    rep = weak_residual(bad, data, cfg)
     assert rep.residual >= 1e-3
     assert rep.residual >= 100.0 * res.weak_residual
 
