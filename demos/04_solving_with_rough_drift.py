@@ -1,10 +1,11 @@
 """Solving the backward equation with a distributional drift.
 
 Calibrates the inequality constants once, selects the contraction weight
-rho from them, and runs the Picard iteration for a drift that is only a
-C^(-0.3) distribution.  The measured contraction ratios sit well under
-the guaranteed 1/2, and the converged solution passes its weak-form
-cross-check.
+rho from them, and solves for a drift that is only a C^(-0.3)
+distribution.  A short global Picard run measures the contraction ratios,
+which sit well under the guaranteed 1/2; a backward march then reaches
+the fixed point node by node.  The answer is certified by ||T(v) - v||
+and the a posteriori error bound, and passes its weak-form cross-check.
 """
 
 import numpy as np
@@ -52,10 +53,13 @@ data = PDEData(
 cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=rho)
 res = solve_mild(data, cfg, part=part)
 
-print(f"\nconverged in {res.iterations} iterations")
+print(f"\nPicard prefix: {res.iterations} iterations")
 print("  weighted contraction ratios:",
       np.array_str(np.asarray(res.ratios), precision=3))
-print(f"  final sup increment {res.final_increment_sup:.2e}")
+print(f"backward march: {res.march_steps} local steps over {M} nodes")
+print(f"  certificate ||T(v) - v|| (sup in time) {res.final_increment_sup:.2e}"
+      f" <= tol {cfg.tol_fix:g}")
+print(f"  a posteriori error bound (rho-weighted) {res.error_bound:.2e}")
 print(f"  weak-form residual {res.weak_residual:.2e} "
       f"(quadrature tolerance {res.weak_tolerance:.2e})")
 print(f"  terminal slope decays as exp(-lam (T - t)); at t = 0 the slope "

@@ -29,6 +29,7 @@ from .paraproduct import bony_product
 from .solver import SolverConfig, SolverError
 
 __all__ = [
+    "CalibrationError",
     "calibrate",
     "save_calibration",
     "load_calibration",
@@ -43,7 +44,16 @@ def pair_key(*vals) -> str:
 
 
 def _spawn(seed, count):
-    if not isinstance(seed, np.random.SeedSequence):
+    """The first ``count`` children of ``seed``.
+
+    A ``SeedSequence`` is copied before spawning: ``spawn`` advances the
+    sequence it is called on, and a calibration must be a pure function of
+    its seed however often the caller reuses it.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
+    else:
         seed = np.random.SeedSequence(seed)
     return seed.spawn(count)
 
@@ -178,9 +188,53 @@ def save_calibration(path, calib: dict):
         fh.write("\n")
 
 
-def load_calibration(path) -> dict:
+class CalibrationError(ValueError):
+    """A calibration file that cannot serve the run: not a calibration
+    object, a missing or non-finite constant, or another grid."""
+
+
+def _check_constant(value, where: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CalibrationError(f"calibration {where} must be a number, "
+                               f"got {value!r}")
+    if not math.isfinite(value):
+        raise CalibrationError(f"calibration {where} is not finite ({value})")
+
+
+def load_calibration(path, grid: TorusGrid = None) -> dict:
+    """Read a calibration file and check it before any constant is used.
+
+    Every constant must be a finite number, and with ``grid`` the file's
+    metadata must name that grid: the constants are measured at one
+    resolution.  Raises ``CalibrationError`` naming the first defect.
+    """
     with open(path) as fh:
-        return json.load(fh)
+        calib = json.load(fh)
+    if not isinstance(calib, dict):
+        raise CalibrationError(
+            f"calibration file must hold a JSON object, got "
+            f"{type(calib).__name__}")
+    for key in ("metadata", "convolution", "dc_stability", "schauder",
+                "bony", "bernstein_ineq"):
+        if key not in calib:
+            raise CalibrationError(f"calibration has no {key!r}")
+    for key in ("convolution", "dc_stability"):
+        _check_constant(calib[key], key)
+    for section in ("schauder", "bony", "bernstein_ineq"):
+        if not isinstance(calib[section], dict):
+            raise CalibrationError(f"calibration {section} must be an object")
+        for key, value in calib[section].items():
+            _check_constant(value, f"{section}[{key}]")
+    meta = calib["metadata"]
+    if not isinstance(meta, dict):
+        raise CalibrationError("calibration metadata must be an object")
+    if grid is not None:
+        for key in ("d", "n", "L"):
+            if meta.get(key) != getattr(grid, key):
+                raise CalibrationError(
+                    f"calibration metadata {key} = {meta.get(key)!r} does "
+                    f"not match the config grid's {getattr(grid, key)!r}")
+    return calib
 
 
 def _lookup(calib, section, key):

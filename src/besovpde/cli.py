@@ -248,9 +248,9 @@ def _source(conf, grid, mesh, b: TimeField) -> TimeField:
     raise ConfigError(f"unknown source.kind {kind!r}")
 
 
-def _load_calibration_or_die(args, needed: bool):
+def _load_calibration_or_die(args, needed: bool, grid: TorusGrid):
     if args.calibration and Path(args.calibration).exists():
-        return cal_mod.load_calibration(args.calibration)
+        return cal_mod.load_calibration(args.calibration, grid)
     if needed:
         raise ConfigError(
             "this run needs a calibration file (rho or lambda policy is "
@@ -298,7 +298,8 @@ def _problem(conf, args):
     lam = conf["lambda.value"]
     calib = _load_calibration_or_die(
         args, needed=(conf["rho.policy"] == "auto"
-                      or conf["lambda.policy"] == "auto-threshold"))
+                      or conf["lambda.policy"] == "auto-threshold"),
+        grid=grid)
     base_cfg = _solver_config(conf, lam=lam)
     if conf["lambda.policy"] == "auto-threshold":
         lam = lambda_threshold(b, base_cfg,
@@ -313,8 +314,16 @@ def cmd_solve(conf, args, out: Path):
                    v_T=_terminal(conf, grid))
     result = solve_mild(data, cfg, part=part, calibration=calib)
     files = result.save(out, cfg)
-    return files, {"iterations": result.iterations, "rho": result.rho,
+    return files, {**_certificate(result),
                    "weak_residual": result.weak_residual}
+
+
+def _certificate(result) -> dict:
+    """A solve's iteration counts and its fixed-point certificate."""
+    return {"iterations": result.iterations, "rho": result.rho,
+            "march_steps": result.march_steps,
+            "final_increment_sup": result.final_increment_sup,
+            "error_bound": result.error_bound}
 
 
 def cmd_solve_u(conf, args, out: Path):
@@ -323,7 +332,7 @@ def cmd_solve_u(conf, args, out: Path):
         raise ConfigError("solve-u needs lambda.value > 0 or auto-threshold")
     result = solve_u(b, conf["axis"], cfg, part=part, calibration=calib)
     files = result.save(out, cfg)
-    return files, {"iterations": result.iterations, "rho": result.rho}
+    return files, _certificate(result)
 
 
 def cmd_build_phi(conf, args, out: Path):
@@ -436,7 +445,7 @@ def cmd_study_continuity_v(conf, args, out: Path):
 
 def cmd_study_continuity_phi(conf, args, out: Path):
     grid, part, mesh, b, cfg, calib, eps_list = _study_common(conf, args)
-    calib = _load_calibration_or_die(args, needed=True)
+    calib = _load_calibration_or_die(args, needed=True, grid=grid)
     c_lam = cal_mod.lambda_constant(calib, cfg)
     if cfg.rho == "auto":
         cfg = _solver_config(conf, lam=cfg.lam, rho=1.0)

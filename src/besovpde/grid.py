@@ -8,7 +8,9 @@ types defined here.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +272,20 @@ def gradient(f: SpectralField) -> SpectralField:
                          real=f.real)
 
 
+@functools.lru_cache(maxsize=32)
+def _gradient_multipliers(grid: TorusGrid) -> tuple:
+    """The per-axis ``1j * k`` arrays and the Nyquist mask of a grid (cached).
+
+    Kept as separate factors so that ``coeffs * (1j * k) * keep`` rounds as
+    it did when both were rebuilt per call; the arrays are read-only.
+    """
+    multipliers = tuple(1j * k for k in grid.k_mesh())
+    keep = grid.nyquist_mask()
+    for arr in multipliers + (keep,):
+        arr.flags.writeable = False
+    return multipliers, keep
+
+
 def gradient_stack(coeffs: np.ndarray, grid: TorusGrid,
                    slopes: np.ndarray = None) -> np.ndarray:
     """``gradient`` of every row of a ``(N,) + comp_shape + grid`` stack.
@@ -281,13 +297,15 @@ def gradient_stack(coeffs: np.ndarray, grid: TorusGrid,
     """
     if coeffs.ndim - 1 - grid.d >= 2:
         raise GridError("gradient of a matrix field is not supported")
-    keep = grid.nyquist_mask()
+    multipliers, keep = _gradient_multipliers(grid)
     out = np.empty(coeffs.shape[:1] + (grid.d,) + coeffs.shape[1:],
                    dtype=complex)
-    for ax, k in enumerate(grid.k_mesh()):
-        out[:, ax] = coeffs * (1j * k) * keep
+    for ax, ik in enumerate(multipliers):
+        out[:, ax] = coeffs * ik * keep
     if slopes is not None:
-        out[(...,) + (0,) * grid.d] += np.moveaxis(slopes, -1, 1)
+        # (N,) + comp_shape + (d,) -> (N, d) + comp_shape; comp_shape has at
+        # most one axis, and swapaxes costs far less than np.moveaxis
+        out[(...,) + (0,) * grid.d] += slopes.swapaxes(1, -1)
     return out
 
 
@@ -335,8 +353,8 @@ def chunk_rows(row_shape: tuple, grid: TorusGrid, real: bool = True,
     Their refined samples (8 bytes a point for real rows, 16 for complex)
     fit in CHUNK_BYTES; a row larger than that goes alone.
     """
-    comps = int(np.prod(row_shape[:len(row_shape) - grid.d]))
-    itemsize = np.dtype(float if real else complex).itemsize
+    comps = math.prod(row_shape[:len(row_shape) - grid.d])
+    itemsize = 8 if real else 16
     return max(1, CHUNK_BYTES // (comps * (refine * grid.n) ** grid.d * itemsize))
 
 

@@ -19,6 +19,7 @@ chunks of ``grid.chunk_rows`` rows, and ``drift_term`` is its one-row case.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -28,8 +29,18 @@ from .grid import (GridError, SpectralField, TorusGrid, _padded_samples,
                    chunk_rows)
 from .lp import DyadicPartition, dyadic_partition
 
-__all__ = ["BonyProduct", "bony_product", "drift_term", "drift_terms",
-           "dealiased_product"]
+__all__ = ["BonyProduct", "bony_product", "drift_samples", "drift_term",
+           "drift_terms", "dealiased_product"]
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_modes(n: int, fine_n: int) -> np.ndarray:
+    """Fine-grid indices of the coarse FFT layout [0 .. n/2-1, Nyquist,
+    -n/2+1 .. -1] (cached, read-only)."""
+    idx = np.concatenate([np.arange(0, n // 2), [n // 2],
+                          np.arange(fine_n - n // 2 + 1, fine_n)])
+    idx.flags.writeable = False
+    return idx
 
 
 def _truncate_to_grid(fine_samples: np.ndarray, g: TorusGrid) -> np.ndarray:
@@ -42,12 +53,13 @@ def _truncate_to_grid(fine_samples: np.ndarray, g: TorusGrid) -> np.ndarray:
     """
     n, d = g.n, g.d
     fine_n = fine_samples.shape[-1]
-    axes = tuple(range(fine_samples.ndim - d, fine_samples.ndim))
-    coeffs = np.fft.fftn(fine_samples, axes=axes)
+    # fftn's own loop (last axis first) without its per-call argument
+    # handling, which is 12 of the 28 us a one-row 1D transform takes
+    coeffs = fine_samples
+    for axis in range(fine_samples.ndim - 1, fine_samples.ndim - d - 1, -1):
+        coeffs = np.fft.fft(coeffs, axis=axis)
     coeffs /= fine_n**d
-    # coarse FFT layout [0 .. n/2-1, Nyquist, -n/2+1 .. -1]
-    idx = np.concatenate([np.arange(0, n // 2), [n // 2],
-                          np.arange(fine_n - n // 2 + 1, fine_n)])
+    idx = _coarse_modes(n, fine_n)
     for ax in range(d):
         axis = coeffs.ndim - d + ax
         neg_nyq = np.take(coeffs, fine_n - n // 2, axis=axis)
@@ -124,8 +136,15 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
                          real=f.real and g.real)
 
 
+def drift_samples(b: np.ndarray, grid: TorusGrid,
+                  real: bool = True) -> np.ndarray:
+    """The 2x-grid samples of a ``(N, d) + grid`` stack, as ``drift_terms``
+    takes them through ``b_samples``."""
+    return _padded_samples(b, grid, real, 2)
+
+
 def drift_terms(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
-                real: bool = True) -> np.ndarray:
+                real: bool = True, b_samples: np.ndarray = None) -> np.ndarray:
     """``drift_term`` of every row pair of two ``(N, d) + grid`` stacks.
 
     Row i of the ``(N,) + grid`` result holds the coefficients of
@@ -133,7 +152,9 @@ def drift_terms(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
     both factors' 2x-grid samples fit in ``CHUNK_BYTES`` (a budget for one
     factor raised the 1D benchmark's peak RSS by ~1 MB): each chunk is
     sampled by one padded-sample call per factor, multiplied, summed over
-    components and truncated in one batch.
+    components and truncated in one batch.  ``b_samples``, when given, is
+    ``drift_samples(b, grid, real)``: a caller pairing many stacks with one
+    b samples it once.
     """
     if w.shape != b.shape or w.shape[1:] != (grid.d,) + grid.shape:
         raise GridError(
@@ -143,8 +164,11 @@ def drift_terms(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
     out = np.empty((len(w),) + grid.shape, dtype=complex)
     for lo in range(0, len(w), rows):
         prod = _padded_samples(w[lo:lo + rows], grid, real, 2)
-        prod *= _padded_samples(b[lo:lo + rows], grid, real, 2)
-        out[lo:lo + rows] = _truncate_to_grid(np.sum(prod, axis=1), grid)
+        if b_samples is None:
+            prod *= _padded_samples(b[lo:lo + rows], grid, real, 2)
+        else:
+            prod *= b_samples[lo:lo + rows]
+        out[lo:lo + rows] = _truncate_to_grid(prod.sum(axis=1), grid)
     return out
 
 

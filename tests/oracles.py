@@ -26,9 +26,25 @@ from besovpde import (
     evaluate_at,
     gradient,
 )
+from besovpde.calibration import contraction_constant
 from besovpde.grid import _embed_axis, _padded_samples
-from besovpde.lp import rho_time_norm_log
-from besovpde.solver import default_test_fields
+from besovpde.lp import c1plus_norms, dc_norms, rho_time_norm_log
+from besovpde.solver import (
+    DIVERGENCE_STREAK,
+    PicardError,
+    SolveResult,
+    SolverError,
+    _check_mesh,
+    _operator,
+    _path,
+    _path_besov_norm,
+    _quad_tolerance_from_nodes,
+    _slopes,
+    _stacks,
+    default_test_fields,
+    select_rho,
+    weak_residual,
+)
 
 
 def refined_samples(f, refine):
@@ -317,8 +333,9 @@ def node_drift_term(w, b):
                          real=not np.iscomplexobj(prod))
 
 
-def per_node_drift_terms(w, b, grid, real=True):
-    """``paraproduct.drift_terms`` as a loop of ``node_drift_term``."""
+def per_node_drift_terms(w, b, grid, real=True, b_samples=None):
+    """``paraproduct.drift_terms`` as a loop of ``node_drift_term``; it
+    samples b itself, so ``b_samples`` is ignored."""
     return np.array([node_drift_term(SpectralField(grid, wi, real=real),
                                      SpectralField(grid, bi, real=real)).coeffs
                      for wi, bi in zip(w, b)])
@@ -454,3 +471,110 @@ def convolution_constant_by_apply_T(grid, alpha, beta, seed, T=1.0, M=64,
             scale = 0.5 * (alpha + beta - 1.0) * math.log(rho)
             worst = max(worst, math.exp(num - den - scale))
     return worst
+
+
+def picard_solve(data, cfg, part=None, calibration=None, v0=None,
+                 compute_weak_residual=True):
+    """``solver.solve_mild`` as the global Picard iteration alone.
+
+    The loop the backward march replaced, run until the increment is
+    within ``tol_fix``: every contraction ratio of a full Picard solve.
+    Package code for the operator, norms and diagnostics.
+    """
+    if part is None:
+        part = dyadic_partition(data.grid)
+    rho = cfg.rho
+    if rho == "auto":
+        if calibration is None:
+            raise SolverError(
+                "rho='auto' needs a calibration; run calibrate first or "
+                "pass rho explicitly")
+        b_norm = _path_besov_norm(data.b, -cfg.beta, part, "drift")
+        rho = select_rho(cfg, b_norm, contraction_constant(calibration, cfg))
+    rho = float(rho)
+    kind = "dc" if data.is_affine else "c1plus"
+    use_kernel = cfg.uses_lambda_kernel()
+    integrand, image, _ = _operator(data, cfg, use_kernel)
+    slopes = _slopes(data, cfg)
+    real_T = data.v_T.periodic.real
+
+    if v0 is None:
+        _check_mesh(data.b, data, cfg)
+        p = np.zeros((cfg.M + 1,) + data.grid.shape, dtype=complex)
+        s, real = np.zeros_like(slopes), True
+    else:
+        _check_mesh(v0, data, cfg)
+        p, s, real = _stacks(v0)
+    ratios = []
+    ratios_raw = []
+    prev_log = None
+    noise_log = None
+    streak = 0      # consecutive useful ratios above 1
+    weighted_log = float("inf")
+    sup_inc = float("inf")
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        p_next = image(integrand(p, s, real))
+        if kind == "dc":
+            norms = dc_norms(slopes - s, p_next - p, cfg.alpha, part,
+                             real and real_T)
+        else:
+            norms = c1plus_norms(p_next - p, cfg.alpha, part, real and real_T)
+        sup_inc = float(norms.max())
+        if not math.isfinite(sup_inc):
+            raise PicardError(
+                f"non-finite increment at iteration {iterations} "
+                f"(sup norm {sup_inc}); the iteration diverged", ratios_raw)
+        weighted_log = rho_time_norm_log(norms, data.b.t_grid, rho)
+        if noise_log is None:
+            noise_log = (-rho * cfg.dt
+                         + math.log(1e-13 * (1.0 + sup_inc)))
+        if prev_log is not None:
+            if weighted_log == -math.inf:
+                raw = 0.0
+            elif prev_log == -math.inf:
+                raw = float("inf")
+            else:
+                raw = math.exp(weighted_log - prev_log)
+            ratios_raw.append(raw)
+            useful = min(prev_log, weighted_log) > noise_log + math.log(3.0)
+            if useful:
+                ratios.append(raw)
+            streak = streak + 1 if useful and raw > 1.0 else 0
+            if streak >= DIVERGENCE_STREAK:
+                raise PicardError(
+                    f"contraction ratio above 1 for {DIVERGENCE_STREAK} "
+                    f"consecutive iterations at iteration {iterations} "
+                    f"(last ratio {raw:.3e}); the iteration diverges",
+                    ratios_raw)
+        prev_log = weighted_log
+        p, s, real = p_next, slopes, real_T
+        if sup_inc <= cfg.tol_fix:
+            break
+    else:
+        raise PicardError(
+            f"no convergence in {cfg.max_iter} iterations "
+            f"(last increment {sup_inc:.3e})", ratios_raw)
+
+    quad_tol = _quad_tolerance_from_nodes(integrand(p, s, real), data.grid,
+                                          cfg.T, cfg.tol_fix)
+    v = _path(data, p, s)
+    result = SolveResult(
+        v=v,
+        iterations=iterations,
+        ratios=ratios,
+        rho=rho,
+        final_increment=math.exp(weighted_log) if weighted_log > -math.inf else 0.0,
+        final_increment_log=weighted_log,
+        final_increment_sup=sup_inc,
+        lam=cfg.lam,
+        used_lambda_kernel=use_kernel,
+        quad_tolerance=quad_tol,
+        norm_kind=kind,
+        ratios_raw=ratios_raw,
+    )
+    if compute_weak_residual:
+        report = weak_residual(v, data, cfg)
+        result.weak_residual = report.residual
+        result.weak_tolerance = report.tolerance
+    return result

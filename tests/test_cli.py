@@ -115,11 +115,16 @@ def test_solve_manifest_contents(calibrated):
     assert main(["solve", "--config", str(conf), "--out", str(out),
                  "--calibration", str(cal)]) == 0
     meta = json.loads((out / "solution.json").read_text())
-    for key in ("rho", "iterations", "ratios", "weak_residual",
+    for key in ("rho", "iterations", "march_steps", "ratios",
+                "final_increment_sup", "error_bound", "weak_residual",
                 "affine_slopes", "config"):
         assert key in meta
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
+    # the certificate of the written solution: ||T(v) - v|| and the bound
+    assert manifest["march_steps"] == meta["march_steps"] > 0
+    assert manifest["final_increment_sup"] <= meta["config"]["tol_fix"]
+    assert manifest["error_bound"] == meta["error_bound"] < float("inf")
     assert any(name.endswith("solution.json") for name in manifest["outputs"])
 
 
@@ -242,6 +247,69 @@ def test_continuity_study_rho_with_a_nan_drift_slice_exits_2(
                "--out", str(tmp / "nan_out"), "--calibration", str(cal)])
     assert rc == 2
     assert re.search("drift norm .* not finite", capsys.readouterr().err)
+
+
+def _edited_calibration(tmp_path, cal, edit):
+    path = tmp_path / "edited_cal.json"
+    path.write_text(json.dumps(edit(json.loads(cal.read_text()))))
+    return path
+
+
+def _set(section, key, value):
+    def edit(calib):
+        if key is None:
+            calib[section] = value
+        else:
+            calib[section][key] = value
+        return calib
+    return edit
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (_set("bony", "0.35,0.3", float("nan")),
+     "calibration bony[0.35,0.3] is not finite (nan)"),
+    (_set("convolution", None, float("nan")),
+     "calibration convolution is not finite (nan)"),
+    (_set("schauder", "-0.2,0.75", "large"),
+     "calibration schauder[-0.2,0.75] must be a number, got 'large'"),
+    (lambda calib: {k: v for k, v in calib.items() if k != "convolution"},
+     "calibration has no 'convolution'"),
+    (lambda calib: list(calib), "must hold a JSON object, got list"),
+    (_set("metadata", "n", 128),
+     "calibration metadata n = 128 does not match the config grid's 64"),
+    (_set("metadata", "d", 2),
+     "calibration metadata d = 2 does not match the config grid's 1"),
+    (_set("metadata", "L", 1.0), "calibration metadata L = 1.0 does not "
+     "match the config grid's 6.28"),
+], ids=["nan-bony", "nan-convolution", "str-schauder", "no-convolution",
+        "list", "other-n", "other-d", "other-L"])
+def test_bad_calibration_exits_2_naming_the_cause(calibrated, tmp_path,
+                                                  capsys, edit, cause):
+    tmp, conf, cal = calibrated
+    path = _edited_calibration(tmp_path, cal, edit)
+    rc = main(["solve", "--config", str(conf), "--out", str(tmp_path / "o"),
+               "--calibration", str(path)])
+    assert rc == 2
+    assert cause in capsys.readouterr().err
+
+
+def test_unreadable_calibration_exits_4(calibrated, tmp_path):
+    tmp, conf, cal = calibrated
+    rc = main(["solve", "--config", str(conf), "--out", str(tmp_path / "o"),
+               "--calibration", str(tmp_path)])   # a directory
+    assert rc == 4
+
+
+def test_march_node_failure_exits_3(calibrated, capsys):
+    # five Picard iterations reach the four certificate ratios, and five
+    # local steps are too few for the first node the march solves
+    tmp, conf, cal = calibrated
+    short = write(tmp, BASE + "picard.max_iter = 5\n", "short.txt")
+    rc = main(["solve", "--config", str(short), "--out",
+               str(tmp / "short_out"), "--calibration", str(cal)])
+    assert rc == 3
+    assert "node 31 (t = 0.484375) did not settle in 5 local steps" in \
+        capsys.readouterr().err
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -219,7 +219,9 @@ def test_continuity_v_errors_match_per_node_norms(grid64, part64,
             for dv in deltas]))
     assert np.array_equal(study.errors["v_dc"], err_v)
     assert np.array_equal(study.errors["grad_v"], err_grad)
-    assert min(err_grad) > 0.0
+    # the finest rung repeats the reference solve; the others have data
+    # that differ from it, so their errors must not vanish
+    assert min(err_grad[:-1]) > 0.0
 
 
 def test_continuity_phi_ladders_keep_a_nan_slice(grid64, part64,

@@ -53,6 +53,7 @@ from oracles import (
     per_node_weak_residual,
     per_slice_c1plus_norms,
     per_slice_dc_norms,
+    picard_solve,
 )
 
 
@@ -73,6 +74,15 @@ def make_data(grid, mesh, b=None, g=None, v_T=None):
     if v_T is None:
         v_T = zero_scalar(grid)
     return PDEData(b=b, g=g, v_T=v_T)
+
+
+def coefficient_gap(res, ref):
+    """Largest periodic-coefficient gap between two solves, relative to
+    the reference's largest coefficient; their slopes must agree exactly."""
+    p, slopes, _ = solver._stacks(res.v)
+    p_ref, slopes_ref, _ = solver._stacks(ref.v)
+    assert np.array_equal(slopes, slopes_ref)
+    return float(np.abs(p - p_ref).max() / np.abs(p_ref).max())
 
 
 def static_drift(grid, mesh, samples):
@@ -319,9 +329,13 @@ def test_contraction_ratios_with_selected_rho(grid128, part128):
     rho = select_rho(cfg0, 1.0, 2.0)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=rho)
     data = make_data(grid128, mesh, b=b, v_T=v_T)
+    # the contraction of a full Picard solve, from the global loop alone
+    full = picard_solve(data, cfg, part=part128, compute_weak_residual=False)
+    assert full.iterations <= 40
+    assert full.ratios and max(full.ratios) <= 0.55
     res = solve_mild(data, cfg, part=part128, compute_weak_residual=False)
-    assert res.iterations <= 40
-    assert res.ratios and max(res.ratios) <= 0.55
+    assert res.ratios == full.ratios[:len(res.ratios)]
+    assert coefficient_gap(res, full) <= 1e-10
 
 
 def test_uniqueness_probe(grid64, part64):
@@ -593,6 +607,111 @@ def _random_path(data, seed):
     return TimeField(data.b.t_grid, slices)
 
 
+@pytest.mark.parametrize("case, lam, kernel", [
+    ("affine-1d", 0.0, "auto"),
+    ("affine-1d", 2.0, "never"),
+    ("affine-1d", 2.0, "always"),
+    ("bounded-2d", 0.0, "auto"),
+    ("bounded-2d", 2.0, "never"),
+    ("bounded-2d", 40.0, "always"),
+    ("warm-start-1d", 0.0, "auto"),
+])
+def test_march_matches_the_picard_oracle(grid64, part64, case, lam, kernel):
+    # the Picard prefix plus backward march against the global Picard loop
+    # it replaced: affine 1D data under a static drift, bounded 2D data
+    # under a modulated one, lam in the integrand and in the kernel, and a
+    # warm start; tolerance 1e-10 relative on the periodic coefficients
+    if case == "bounded-2d":
+        data, part = _bounded_modulated_2d()
+    else:
+        data, part = _affine_rough_1d(grid64, part64), part64
+    v0 = _random_path(data, 3) if case.startswith("warm") else None
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=lam,
+                       rho=8.0, lambda_kernel=kernel)
+    fast = solve_mild(data, cfg, part=part, v0=v0)
+    full = picard_solve(data, cfg, part=part, v0=v0)
+    assert fast.march_steps > 0
+    assert fast.iterations < full.iterations
+    assert len(fast.ratios) == solver.CERTIFICATE_RATIOS
+    assert fast.ratios_raw == full.ratios_raw[:len(fast.ratios_raw)]
+    assert coefficient_gap(fast, full) <= 1e-10
+    # the certificate is measured on the returned answer
+    assert fast.final_increment_sup == mild_increment(fast, data, cfg, part)
+    assert fast.final_increment_sup <= cfg.tol_fix
+    assert fast.final_increment <= fast.error_bound < math.inf
+    assert fast.weak_residual <= 10.0 * fast.weak_tolerance
+    again = solve_mild(data, cfg, part=part, v0=v0)
+    for a, b in zip(fast.v.slices, again.v.slices):
+        assert np.array_equal(a.periodic.coeffs, b.periodic.coeffs)
+    assert (again.march_steps, again.final_increment_sup,
+            again.error_bound) == (fast.march_steps,
+                                   fast.final_increment_sup, fast.error_bound)
+
+
+def mild_increment(res, data, cfg, part):
+    """max over the nodes of ||T(v) - v|| in the solve's increment norm."""
+    p, slopes, real = solver._stacks(res.v)
+    q, _, real_q = solver._stacks(apply_T(res.v, data, cfg, part))
+    if res.norm_kind == "dc":
+        norms = solver.dc_norms(np.zeros_like(slopes), q - p, cfg.alpha,
+                                part, real and real_q)
+    else:
+        norms = solver.c1plus_norms(q - p, cfg.alpha, part, real and real_q)
+    return float(norms.max())
+
+
+def test_solve_converging_in_the_prefix_is_the_picard_oracle(grid64, part64):
+    # a weak drift: Picard converges before it has CERTIFICATE_RATIOS
+    # useful ratios, and its iterate is returned unchanged, bit for bit
+    data = _affine_rough_1d(grid64, part64)
+    b = TimeField(data.b.t_grid, [1e-3 * s for s in data.b.slices])
+    data = make_data(grid64, data.b.t_grid, b=b, v_T=data.v_T)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0)
+    fast = solve_mild(data, cfg, part=part64)
+    full = picard_solve(data, cfg, part=part64)
+    assert fast.march_steps == 0
+    for name in ("iterations", "ratios", "ratios_raw", "final_increment",
+                 "final_increment_log", "final_increment_sup",
+                 "quad_tolerance", "weak_residual", "weak_tolerance"):
+        assert getattr(fast, name) == getattr(full, name), name
+    for a, b in zip(fast.v.slices, full.v.slices):
+        assert np.array_equal(a.periodic.coeffs, b.periodic.coeffs)
+        assert np.array_equal(a.slope, b.slope)
+    assert fast.error_bound == (fast.final_increment
+                                / (1.0 - max(fast.ratios)))
+
+
+def test_march_node_that_does_not_settle_is_named(grid64, part64):
+    # five Picard iterations give the four certificate ratios; five local
+    # steps are too few for the last interval's node
+    data = _affine_rough_1d(grid64, part64)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0, max_iter=5)
+    with pytest.raises(PicardError, match=r"node 15 \(t = 0\.46875\) did "
+                       "not settle in 5 local steps") as err:
+        solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+    assert len(err.value.ratios) == 4
+
+
+def test_march_non_finite_node_is_named(grid64, part64, monkeypatch):
+    # a pairing that goes non-finite in the march (the calls that pass the
+    # node's drift samples) stops it at the first node it reaches
+    data = _affine_rough_1d(grid64, part64)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0)
+    pairing = solver.drift_terms
+
+    def poisoned(w, b, grid, real, b_samples=None):
+        out = pairing(w, b, grid, real, b_samples=b_samples)
+        return out if b_samples is None else out * np.nan
+
+    monkeypatch.setattr(solver, "drift_terms", poisoned)
+    with pytest.raises(PicardError, match=r"non-finite iterate at node 15 "
+                       r"\(t = 0\.46875\) in local step 1"):
+        solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+
+
 @pytest.mark.parametrize("kernel", [False, True])
 @pytest.mark.parametrize("case", ["affine-1d", "bounded-2d"])
 def test_apply_T_matches_per_node_operator(grid64, part64, case, kernel):
@@ -673,6 +792,17 @@ def test_closed_form_convolution_matches_apply_T(d, n, M):
     assert fast == pytest.approx(slow, rel=1e-14)
 
 
+def test_calibration_does_not_advance_a_seed_sequence():
+    # spawning from the SeedSequence passed in advanced it: the same call
+    # twice read 0.894 and then 0.782
+    grid = TorusGrid(d=1, n=64)
+    seed = np.random.SeedSequence((3, 19))
+    first = calibrate_convolution(grid, 0.35, 0.3, seed, M=16, n_fields=2)
+    again = calibrate_convolution(grid, 0.35, 0.3, seed, M=16, n_fields=2)
+    fresh = calibrate_convolution(grid, 0.35, 0.3, (3, 19), M=16, n_fields=2)
+    assert first == again == fresh
+
+
 def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
     # a whole solve with the one-product drift pairing against the same
     # solve through the Bony sum it replaced; tolerance 10 * tol_fix
@@ -685,7 +815,7 @@ def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
     data = make_data(grid64, mesh, b=TimeField(mesh, [b0] * (M + 1)), v_T=v_T)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=8.0)
     fast = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
-    def bony_rows(w, b, grid, real):
+    def bony_rows(w, b, grid, real, b_samples=None):
         return np.array([bony_drift_pairing(
             SpectralField(grid, wi, real=real), SpectralField(grid, bi, real=real),
             cfg.alpha, cfg.beta, part64).coeffs for wi, bi in zip(w, b)])
