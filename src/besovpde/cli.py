@@ -237,15 +237,16 @@ def _source(conf, grid, mesh, b: TimeField) -> TimeField:
     kind = conf["source.kind"]
     amp = conf["source.amplitude"]
     if kind == "zero":
-        return TimeField(mesh, [SpectralField.zero(grid)] * len(mesh))
-    if kind == "sine":
+        coeffs = np.zeros((len(mesh),) + grid.shape, dtype=complex)
+    elif kind == "sine":
         x = np.meshgrid(*[grid.axis_points()] * grid.d, indexing="ij")[0]
         f = to_fourier(amp * np.sin(2.0 * np.pi * x / grid.L), grid)
-        return TimeField(mesh, [f] * len(mesh))
-    if kind == "drift-component":
-        i = conf["source.component"]
-        return TimeField(mesh, [amp * s.component(i) for s in b.slices])
-    raise ConfigError(f"unknown source.kind {kind!r}")
+        coeffs = np.repeat(f.coeffs[None], len(mesh), axis=0)
+    elif kind == "drift-component":
+        coeffs = b.coeffs[:, conf["source.component"]] * amp
+    else:
+        raise ConfigError(f"unknown source.kind {kind!r}")
+    return TimeField.from_stacks(mesh, grid, coeffs, real=b.real)
 
 
 def _load_calibration_or_die(args, needed: bool, grid: TorusGrid):
@@ -341,9 +342,9 @@ def cmd_build_phi(conf, args, out: Path):
         raise ConfigError("build-phi needs lambda.value > 0 or auto-threshold")
     res = build_phi(b, cfg, part=part, calibration=calib)
     files = []
-    for m, s in enumerate(res.phi.slices):
+    for m, coeffs in enumerate(res.phi.coeffs):
         path = out / f"phi_{m:05d}.field"
-        save_field(path, s.periodic)
+        save_field(path, SpectralField(grid, coeffs, real=res.phi.real))
         files.append(path)
     return files, {
         "lambda": res.lam,
@@ -431,8 +432,8 @@ def cmd_study_continuity_v(conf, args, out: Path):
     grid, part, mesh, b, cfg, calib, eps_list = _study_common(conf, args)
     if cfg.rho == "auto":
         from .calibration import contraction_constant
-        from .solver import _path_besov_norm, select_rho
-        b_norm = _path_besov_norm(b, -cfg.beta, part, "drift")
+        from .solver import path_besov_norm, select_rho
+        b_norm = path_besov_norm(b, -cfg.beta, part, "drift")
         cfg = _solver_config(conf, lam=cfg.lam,
                              rho=select_rho(cfg, b_norm,
                                             contraction_constant(calib, cfg)))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import (
-    AffinePeriodicField,
     SpectralField,
     TimeField,
     TorusGrid,
@@ -25,7 +24,7 @@ from .grid import (
     sup_norms,
     to_fourier,
 )
-from .heat import apply_heat
+from .heat import HeatMultiplier, apply_heat
 from .lp import (
     DyadicPartition,
     _bump_integral,
@@ -37,9 +36,8 @@ from .lp import (
 from .solver import (
     PDEData,
     SolverConfig,
-    _path_besov_norm,
-    _stacks,
     invert_phi,
+    path_besov_norm,
     solve_mild,
     solve_u,
 )
@@ -109,30 +107,26 @@ def _base_drift_field(spec: DriftSpec, grid: TorusGrid,
 
 def gen_drift(spec: DriftSpec, grid: TorusGrid, t_grid,
               part: DyadicPartition = None) -> TimeField:
-    """Vector drift path on the mesh; static paths share one field object."""
+    """Vector drift path on the mesh: the base field at every node, times
+    0.75 + 0.25 cos(2 pi t / T) when modulated."""
     if part is None:
         part = dyadic_partition(grid)
     t_grid = np.asarray(t_grid, dtype=float)
     base = _base_drift_field(spec, grid, part)
-    if spec.time_dependence == "static":
-        return TimeField(t_grid, [base] * len(t_grid))
-    T = t_grid[-1]
-    slices = [base * (0.75 + 0.25 * math.cos(2.0 * math.pi * t / T))
-              for t in t_grid]
-    return TimeField(t_grid, slices)
+    coeffs = np.repeat(base.coeffs[None], len(t_grid), axis=0)
+    if spec.time_dependence == "modulated":
+        T = t_grid[-1]
+        scale = [0.75 + 0.25 * math.cos(2.0 * math.pi * t / T) for t in t_grid]
+        coeffs *= np.reshape(scale, (-1,) + (1,) * base.coeffs.ndim)
+    return TimeField.from_stacks(t_grid, grid, coeffs, real=base.real)
 
 
 def mollify_timefield(tf: TimeField, eps: float) -> TimeField:
-    """Heat-kernel mollification of every slice; slice identity is kept for
-    paths whose nodes share one field object."""
-    cache = {}
-    out = []
-    for s in tf.slices:
-        key = id(s)
-        if key not in cache:
-            cache[key] = apply_heat(eps, s)
-        out.append(cache[key])
-    return TimeField(tf.t_grid, out)
+    """Heat-kernel mollification of every node: one multiply of the
+    coefficient stack by the heat weights; affine slopes are untouched."""
+    weights = HeatMultiplier(tf.grid, eps).weights
+    return TimeField.from_stacks(tf.t_grid, tf.grid, tf.coeffs * weights,
+                                 tf.slopes, tf.real)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +207,14 @@ def continuity_study_v(b: TimeField, g: TimeField, v_T, cfg: SolverConfig,
         data = data_for(eps)
         varied = data.b if vary == "b" else data.g
         target = ref_data.b if vary == "b" else ref_data.g
-        gap = TimeField(b.t_grid, [a - c for a, c in zip(varied.slices,
-                                                          target.slices)])
-        premise.append(_path_besov_norm(gap, gamma_data, part,
-                                        f"{varied_name} premise"))
-        p, slopes, real = _stacks(_solve(data, cfg, part).v)
-        ref_p, ref_slopes, ref_real = _stacks(ref.v)
-        dp, real = p - ref_p, real and ref_real
-        grad = besov_norms(gradient_stack(dp, b.grid, slopes - ref_slopes),
+        gap = TimeField.from_stacks(b.t_grid, b.grid,
+                                    varied.coeffs - target.coeffs,
+                                    real=varied.real and target.real)
+        premise.append(path_besov_norm(gap, gamma_data, part,
+                                       f"{varied_name} premise"))
+        v = _solve(data, cfg, part).v
+        dp, real = v.coeffs - ref.v.coeffs, v.real and ref.v.real
+        grad = besov_norms(gradient_stack(dp, b.grid, v.slopes - ref.v.slopes),
                            cfg.alpha, part, real)
         # |dv(0)|: the slope term vanishes at the origin
         origin = dp.reshape(len(dp), -1).sum(axis=1)
@@ -265,8 +259,8 @@ def continuity_study_phi(b: TimeField, cfg: SolverConfig, eps_list,
     ladders = {eps: mollify_timefield(b, eps) for eps in eps_list}
 
     theta = cfg.theta
-    worst = float(np.max([_path_besov_norm(tf, -cfg.beta + cfg.eps, part,
-                                           "drift")
+    worst = float(np.max([path_besov_norm(tf, -cfg.beta + cfg.eps, part,
+                                          "drift")
                           for tf in ladders.values()]))
     if worst > 0.0:
         lam = (3.0 * c_cal * math.gamma(1.0 - theta)
@@ -284,13 +278,10 @@ def continuity_study_phi(b: TimeField, cfg: SolverConfig, eps_list,
     probe_y = rng.uniform(0.0, g.L, size=(probe_count, 1))
     probe_t = [0.0, 0.5 * cfg.T, cfg.T]
 
-    def phi_of(u: np.ndarray) -> TimeField:
-        """x + u(t, x) from the (M+1,) + grid coefficients of u."""
-        return TimeField(b.t_grid, [AffinePeriodicField(
-            np.eye(1), SpectralField(g, c[np.newaxis])) for c in u])
-
-    ref_u = _stacks(ref.v)[0]
-    phi_ref = phi_of(ref_u)
+    # x + u(t, x): the identity slope at every node
+    ones = np.ones((len(b.t_grid), 1, 1))
+    ref_u = ref.v.coeffs
+    phi_ref = TimeField.from_stacks(b.t_grid, g, ref_u[:, None], ones)
     psi_ref = {(t, i): invert_phi(phi_ref, t, y, tol=newton_tol)
                for t in probe_t for i, y in enumerate(probe_y)}
     psi_lip = 0.0
@@ -307,14 +298,14 @@ def continuity_study_phi(b: TimeField, cfg: SolverConfig, eps_list,
     grad_phi_sup, phi_origin = [], []
     for eps in eps_list:
         res = solve_for(ladders[eps])
-        u = _stacks(res.v)[0]
+        u = res.v.coeffs
         du = u - ref_u
         # d = 1: sup |du|, sup |grad du| and sup |grad u| at every node as
         # one stack of one-component rows; np.max keeps a NaN
         rows = np.concatenate([du[:, None],
                                gradient_stack(np.concatenate([du, u]), g)])
         eu, eg, gu = np.max(sup_norms(rows, g).reshape(3, -1), axis=1)
-        phi_n = phi_of(u)
+        phi_n = TimeField.from_stacks(b.t_grid, g, u[:, None], ones)
         ep = np.max([abs(invert_phi(phi_n, t, y, tol=newton_tol)[0]
                          - psi_ref[(t, i)][0])
                      for t in probe_t for i, y in enumerate(probe_y)])

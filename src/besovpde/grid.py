@@ -479,34 +479,71 @@ def evaluate_at(f, x) -> np.ndarray:
     return np.asarray(acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TimeField:
     """A field-valued path on a uniform mesh 0 = t_0 < ... < t_M = T.
 
-    Slices are SpectralField or AffinePeriodicField instances sharing one
-    grid and component layout.
+    ``coeffs`` stacks the nodes' periodic coefficients, ``(M+1,) +
+    comp_shape + grid``; ``slopes`` their affine slopes, ``(M+1,) +
+    comp_shape + (d,)``, or is None for a periodic path.
+    ``TimeField(t_grid, slices)`` packs SpectralField or AffinePeriodicField
+    slices once (one affine slice makes the path affine); ``slices`` and
+    ``[m]`` build per-node fields as views of the stacks.
     """
 
     t_grid: np.ndarray
-    slices: list = field(default_factory=list)
+    grid: TorusGrid
+    coeffs: np.ndarray = field(repr=False)
+    slopes: np.ndarray = field(repr=False)
+    real: bool
 
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        object.__setattr__(self, "t_grid", t)
+    def __init__(self, t_grid, slices):
+        if len(slices) != len(t_grid):
+            raise GridError(f"{len(slices)} slices for {len(t_grid)} "
+                            "mesh nodes")
+        parts = [getattr(s, "periodic", s) for s in slices]
+        if len({(p.grid, p.comp_shape) for p in parts}) > 1:
+            raise GridError("slices disagree on grid or component layout")
+        grid, comp = parts[0].grid, parts[0].comp_shape
+        slopes = None
+        if any(isinstance(s, AffinePeriodicField) for s in slices):
+            slopes = np.array([getattr(s, "slope", np.zeros(comp + (grid.d,)))
+                               for s in slices])
+        self._store(t_grid, grid, np.array([p.coeffs for p in parts]),
+                    slopes, all(p.real for p in parts))
+
+    @classmethod
+    def from_stacks(cls, t_grid, grid: TorusGrid, coeffs: np.ndarray,
+                    slopes: np.ndarray = None, real: bool = True):
+        """The path with these stacks, kept without a copy."""
+        tf = cls.__new__(cls)
+        tf._store(t_grid, grid, coeffs, slopes, real)
+        return tf
+
+    def _store(self, t_grid, grid, coeffs, slopes, real):
+        t = np.asarray(t_grid, dtype=float)
+        steps = np.diff(t)
         if len(t) < 3:
             raise GridError("time mesh needs at least M >= 2 cells")
-        steps = np.diff(t)
+        if t[0] != 0.0:
+            raise GridError(f"time mesh must start at 0, got t_0 = {t[0]:g}")
         if not (steps > 0).all() or not np.allclose(steps, steps[0], rtol=1e-10):
             raise GridError("time mesh must be uniform and increasing")
-        if len(self.slices) != len(t):
-            raise GridError(
-                f"{len(self.slices)} slices for {len(t)} mesh nodes"
-            )
-        g = self.slices[0].grid
-        cs = self.slices[0].comp_shape
-        for s in self.slices[1:]:
-            if s.grid != g or s.comp_shape != cs:
-                raise GridError("slices disagree on grid or component layout")
+        comp = coeffs.shape[1:coeffs.ndim - grid.d]
+        if (coeffs.shape != (len(t),) + comp + grid.shape
+                or comp not in ((), (grid.d,), (grid.d, grid.d))
+                or slopes is not None
+                and slopes.shape != (len(t),) + comp + (grid.d,)):
+            raise GridError(f"stacks of shapes {coeffs.shape} and "
+                            f"{getattr(slopes, 'shape', None)} do not fit "
+                            f"{len(t)} nodes of a d={grid.d}, n={grid.n} grid")
+        for name, value in (("t_grid", t), ("grid", grid), ("coeffs", coeffs),
+                            ("slopes", slopes), ("real", bool(real))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def comp_shape(self) -> tuple:
+        return self.coeffs.shape[1:self.coeffs.ndim - self.grid.d]
 
     @property
     def M(self) -> int:
@@ -517,14 +554,17 @@ class TimeField:
         return float(self.t_grid[-1])
 
     @property
-    def grid(self) -> TorusGrid:
-        return self.slices[0].grid
+    def slices(self) -> list:
+        return [self[m] for m in range(len(self))]
 
     def __getitem__(self, m):
-        return self.slices[m]
+        periodic = SpectralField(self.grid, self.coeffs[m], real=self.real)
+        if self.slopes is None:
+            return periodic
+        return AffinePeriodicField(self.slopes[m], periodic)
 
     def __len__(self):
-        return len(self.slices)
+        return len(self.t_grid)
 
     @staticmethod
     def uniform_mesh(T: float, M: int) -> np.ndarray:

@@ -14,8 +14,9 @@ The iterate is a coefficient stack: the ``(M+1,) + grid`` coefficients of
 its periodic parts at the mesh nodes, its slopes following their closed
 form.  One Picard step pairs the gradient stack with the drift stack in
 one chunked call (``paraproduct.drift_terms``), integrates in time, and
-measures the increment with one stacked norm call; ``TimeField`` paths
-appear only at the public entry points.  A short global Picard run
+measures the increment with one stacked norm call.  A ``TimeField`` is
+such a stack (plus a slope stack), so paths go in and out of the solver
+as arrays, with no per-node field objects.  A short global Picard run
 measures the contraction; the discrete operator is lower-triangular in
 time, so the fixed point itself is then reached by a backward march, one
 node at a time, and certified by one more application of the operator.
@@ -73,6 +74,7 @@ __all__ = [
     "NewtonError",
     "select_rho",
     "lambda_threshold",
+    "path_besov_norm",
     "apply_T",
     "solve_mild",
     "solve_u",
@@ -190,9 +192,9 @@ class PDEData:
             raise GridError("drift, source and terminal data on different grids")
         if not np.array_equal(self.b.t_grid, self.g.t_grid):
             raise GridError("drift and source use different time meshes")
-        if self.b[0].comp_shape != (g.d,):
+        if self.b.comp_shape != (g.d,):
             raise GridError("drift must be a vector field")
-        if self.g[0].comp_shape != () or vt.comp_shape != ():
+        if self.g.comp_shape != () or vt.comp_shape != ():
             raise GridError("source and terminal condition must be scalar")
 
     @property
@@ -266,14 +268,14 @@ class SolveResult:
         from .grid import save_field
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        p, slopes, real = _stacks(self.v)
-        files = [directory / f"slice_{m:05d}.field" for m in range(len(p))]
-        for path, coeffs in zip(files, p):
-            save_field(path, SpectralField(self.v.grid, coeffs, real=real))
+        v = self.v
+        files = [directory / f"slice_{m:05d}.field" for m in range(len(v))]
+        for path, coeffs in zip(files, v.coeffs):
+            save_field(path, SpectralField(v.grid, coeffs, real=v.real))
         meta = self.manifest(config)
         meta["slice_files"] = [path.name for path in files]
-        meta["affine_slopes"] = slopes.tolist()
-        meta["t_grid"] = self.v.t_grid.tolist()
+        meta["affine_slopes"] = _slopes_of(v).tolist()
+        meta["t_grid"] = v.t_grid.tolist()
         path = directory / "solution.json"
         with open(path, "w") as fh:
             json.dump(meta, fh, indent=2, default=float)
@@ -304,23 +306,24 @@ def lambda_threshold(b: TimeField, cfg: SolverConfig, c_cal: float,
         raise SolverError("lambda_threshold needs theta < 1")
     if part is None:
         part = dyadic_partition(b.grid)
-    norm_b = _path_besov_norm(b, -cfg.beta + cfg.eps, part, "drift")
+    norm_b = path_besov_norm(b, -cfg.beta + cfg.eps, part, "drift")
     if norm_b == 0.0:
         return 0.0
     big_c = 3.0 * c_cal * math.gamma(1.0 - theta)
     return (big_c * norm_b) ** (1.0 / (1.0 - theta))
 
 
-def _path_besov_norm(tf: TimeField, gamma: float, part: DyadicPartition,
-                     name: str) -> float:
-    """max over the mesh nodes of ||s||_gamma; raises when not finite.
+def path_besov_norm(tf: TimeField, gamma: float, part: DyadicPartition,
+                    name: str) -> float:
+    """max over the mesh nodes of ||tf(t_m)||_gamma; raises when not finite.
 
-    Nodes that share one field object (a static path) are measured once.
+    A node whose coefficients equal the node before it is not measured
+    again, so a static path costs one norm.
     """
-    distinct = list({id(s): s for s in tf.slices}.values())
-    coeffs = np.array([s.coeffs for s in distinct])
-    real = all(s.real for s in distinct)
-    norm = float(np.max(besov_norms(coeffs, gamma, part, real)))
+    c = tf.coeffs
+    again = np.all(c[1:] == c[:-1], axis=tuple(range(1, c.ndim)))
+    rows = c[np.concatenate([[True], ~again])]
+    norm = float(np.max(besov_norms(rows, gamma, part, tf.real)))
     if not math.isfinite(norm):
         raise SolverError(f"{name} norm in C^{gamma:g} is not finite ({norm})")
     return norm
@@ -365,15 +368,11 @@ def _duhamel_sweep(q_nodes: np.ndarray, weights) -> np.ndarray:
 # the solution operator on coefficient stacks
 
 
-def _stacks(v: TimeField):
-    """A path as arrays: its periodic coefficients ``(M+1,) + comp + grid``,
-    its ``(M+1,) + comp + (d,)`` slopes (zero for periodic slices) and
-    whether every periodic part is real."""
-    slices = [s if isinstance(s, AffinePeriodicField)
-              else AffinePeriodicField.from_periodic(s) for s in v.slices]
-    return (np.array([s.periodic.coeffs for s in slices]),
-            np.array([s.slope for s in slices]),
-            all(s.periodic.real for s in slices))
+def _slopes_of(v: TimeField) -> np.ndarray:
+    """A path's slope stack; zeros for a periodic path."""
+    if v.slopes is not None:
+        return v.slopes
+    return np.zeros(v.coeffs.shape[:1] + v.comp_shape + (v.grid.d,))
 
 
 def _slopes(data: PDEData, cfg: SolverConfig) -> np.ndarray:
@@ -419,8 +418,7 @@ def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
     with ``history`` as its ratios.
     """
     g = data.grid
-    b, _, real_b = _stacks(data.b)
-    source = _stacks(data.g)[0]
+    b, real_b, source = data.b.coeffs, data.b.real, data.g.coeffs
     tails = cfg.T - data.b.t_grid
     mu = 0.5 * g.k_squared()
     if lambda_kernel:
@@ -490,14 +488,6 @@ def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
     return integrand, image, march
 
 
-def _path(data: PDEData, p: np.ndarray, slopes: np.ndarray) -> TimeField:
-    """The affine path with periodic coefficients ``p`` and ``slopes``."""
-    real = data.v_T.periodic.real
-    return TimeField(data.b.t_grid, [
-        AffinePeriodicField(s, SpectralField(data.grid, c, real=real))
-        for s, c in zip(slopes, p)])
-
-
 def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
             part: DyadicPartition = None, lambda_kernel: bool = None) -> TimeField:
     """One application of the Duhamel solution operator.
@@ -514,7 +504,9 @@ def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
         lambda_kernel = cfg.uses_lambda_kernel()
     _check_mesh(v, data, cfg)
     integrand, image, _ = _operator(data, cfg, lambda_kernel)
-    return _path(data, image(integrand(*_stacks(v))), _slopes(data, cfg))
+    p = image(integrand(v.coeffs, _slopes_of(v), v.real))
+    return TimeField.from_stacks(data.b.t_grid, data.grid, p,
+                                 _slopes(data, cfg), data.v_T.periodic.real)
 
 
 def _quad_tolerance_from_nodes(q_nodes: np.ndarray, grid, T: float,
@@ -558,7 +550,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
             raise SolverError(
                 "rho='auto' needs a calibration; run calibrate first or "
                 "pass rho explicitly")
-        b_norm = _path_besov_norm(data.b, -cfg.beta, part, "drift")
+        b_norm = path_besov_norm(data.b, -cfg.beta, part, "drift")
         rho = select_rho(cfg, b_norm, contraction_constant(calibration, cfg))
     rho = float(rho)
     kind = "dc" if data.is_affine else "c1plus"
@@ -578,7 +570,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
         s, real = np.zeros_like(slopes), True
     else:
         _check_mesh(v0, data, cfg)
-        p, s, real = _stacks(v0)
+        p, s, real = v0.coeffs, _slopes_of(v0), v0.real
     ratios = []
     ratios_raw = []
     prev_log = None
@@ -649,7 +641,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
                        else 0.0)
     # no ratio above the rounding floor: every increment sat at it
     q_max = max(ratios, default=0.0)
-    v = _path(data, p, s)
+    v = TimeField.from_stacks(data.b.t_grid, data.grid, p, s, real_T)
     result = SolveResult(
         v=v,
         iterations=iterations,
@@ -680,7 +672,8 @@ def solve_u(b: TimeField, i: int, cfg: SolverConfig,
     if cfg.lam <= 0:
         raise SolverError("solve_u needs lam > 0")
     g = b.grid
-    neg_bi = TimeField(b.t_grid, [(-1.0) * s.component(i) for s in b.slices])
+    neg_bi = TimeField.from_stacks(b.t_grid, g, b.coeffs[:, i] * -1.0,
+                                   real=b.real)
     data = PDEData(b=b, g=neg_bi, v_T=SpectralField.zero(g))
     return solve_mild(data, cfg, part=part, **kwargs)
 
@@ -729,20 +722,19 @@ def build_phi(b: TimeField, cfg: SolverConfig, part: DyadicPartition = None,
     g = b.grid
     results = [solve_u(b, i, cfg, part=part, **kwargs) for i in range(g.d)]
     # (M+1, d) + grid: component i of u at every node
-    u = np.stack([_stacks(r.v)[0] for r in results], axis=1)
+    u = np.stack([r.v.coeffs for r in results], axis=1)
     grad_sup = float(np.max(sup_norms(gradient_stack(u, g), g)))
-    phi = TimeField(b.t_grid, [AffinePeriodicField(np.eye(g.d),
-                                                   SpectralField(g, u_m))
-                               for u_m in u])
+    phi = TimeField.from_stacks(b.t_grid, g, u,
+                                np.repeat(np.eye(g.d)[None], len(u), axis=0))
 
     corollary = float("nan")
     if check_corollary:
         corollary = 0.0
         id_cfg = replace(cfg, lam=0.0, rho=1.0)
         for i in range(g.d):
-            data = PDEData(b=b, g=TimeField(b.t_grid,
-                                            [s.component(i) for s in b.slices]),
-                           v_T=identity_component(g, i))
+            b_i = TimeField.from_stacks(b.t_grid, g, b.coeffs[:, i],
+                                        real=b.real)
+            data = PDEData(b=b, g=b_i, v_T=identity_component(g, i))
             v_id = TimeField(b.t_grid,
                              [identity_component(g, i)] * len(b.t_grid))
             rep = weak_residual(v_id, data, id_cfg)
@@ -751,32 +743,26 @@ def build_phi(b: TimeField, cfg: SolverConfig, part: DyadicPartition = None,
                      corollary_residual=corollary, lam=cfg.lam)
 
 
-def _interp_slice(tf: TimeField, t: float) -> AffinePeriodicField:
-    mesh = tf.t_grid
-    t = float(np.clip(t, mesh[0], mesh[-1]))
-    m = int(np.searchsorted(mesh, t, side="right") - 1)
-    m = min(m, len(mesh) - 2)
-    w = (t - mesh[m]) / (mesh[m + 1] - mesh[m])
-    a, b = tf[m], tf[m + 1]
-    slope = (1 - w) * a.slope + w * b.slope
-    periodic = (1 - w) * a.periodic + w * b.periodic
-    return AffinePeriodicField(slope, periodic)
-
-
 def invert_phi(phi: TimeField, t: float, y, tol: float = 1e-12,
                max_steps: int = 50) -> np.ndarray:
     """Newton inversion of x -> phi(t, x) at the target point y.
 
+    phi(t) is interpolated linearly between the mesh nodes around t.
     Starts from x0 = y; valid whenever the gradient certificate
     sup |grad phi - I| <= 1/2 holds, which keeps the Jacobian uniformly
     invertible and the inverse 2-Lipschitz.  Non-convergence signals a
     violated lambda certificate.
     """
     y = np.asarray(y, dtype=float)
-    s = _interp_slice(phi, t)
-    u = s.periodic         # vector of periodic parts
+    mesh = phi.t_grid
+    t = float(np.clip(t, mesh[0], mesh[-1]))
+    m = min(int(np.searchsorted(mesh, t, side="right") - 1), len(mesh) - 2)
+    w = (t - mesh[m]) / (mesh[m + 1] - mesh[m])
+    # (component, axis); identity for phi
+    slope = (1 - w) * phi.slopes[m] + w * phi.slopes[m + 1]
+    u = SpectralField(phi.grid, (1 - w) * phi.coeffs[m]
+                      + w * phi.coeffs[m + 1], real=phi.real)
     du = gradient(u)       # entries (axis, component) = d_axis u_comp
-    slope = s.slope        # (component, axis); identity for phi
     x = y.copy()
     for step in range(max_steps):
         f_val = slope @ x + evaluate_at(u, x) - y
@@ -838,14 +824,14 @@ def weak_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     if test_set is None:
         test_set = default_test_fields(grid)
     h = float(v.t_grid[1] - v.t_grid[0])
-    p, slopes, real = _stacks(v)
-    b, _, real_b = _stacks(data.b)
+    p, slopes, real = v.coeffs, _slopes_of(v), v.real
+    b, real_b = data.b.coeffs, data.b.real
     # np.max, not the builtin max: a NaN slope must show
     affine_res = float(np.max(np.abs(slopes - _slopes(data, cfg))))
 
     # node stacks of the periodic weak-form integrand
     drift = drift_terms(gradient_stack(p, grid), b, grid, real and real_b)
-    source = _stacks(data.g)[0] - np.einsum("md,md...->m...", slopes, b)
+    source = data.g.coeffs - np.einsum("md,md...->m...", slopes, b)
     k2 = grid.k_squared()
     volume = grid.L**grid.d
 
@@ -886,12 +872,11 @@ def mild_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     Evaluating the form that was *not* used for the iteration gives an
     independent check of the integral equation satisfied by the solution.
     """
-    p, slopes, real = _stacks(v)
-    q, slopes_q, real_q = _stacks(apply_T(v, data, cfg, part=part,
-                                          lambda_kernel=lambda_kernel))
-    sups = sup_norms(p - q, data.grid, real and real_q)
+    image = apply_T(v, data, cfg, part=part, lambda_kernel=lambda_kernel)
+    sups = sup_norms(v.coeffs - image.coeffs, data.grid, v.real and image.real)
+    gaps = np.abs(_slopes_of(v) - image.slopes).max(axis=1)
     # np.max, not the builtin max: a NaN slice must make the residual NaN
-    return float(np.max([sups, np.abs(slopes - slopes_q).max(axis=1)]))
+    return float(np.max([sups, gaps]))
 
 
 def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,
@@ -910,10 +895,10 @@ def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,
         part = dyadic_partition(data.grid)
     if result is None:
         result = solve_mild(data, cfg, part=part, compute_weak_residual=False)
-    p, _, real = _stacks(result.v)
-    lhs = float(np.max(c1plus_norms(p, cfg.alpha, part, real)))
-    b_norm = _path_besov_norm(data.b, -cfg.beta, part, "drift")
-    g_norm = _path_besov_norm(data.g, -cfg.beta, part, "source")
+    v = result.v
+    lhs = float(np.max(c1plus_norms(v.coeffs, cfg.alpha, part, v.real)))
+    b_norm = path_besov_norm(data.b, -cfg.beta, part, "drift")
+    g_norm = path_besov_norm(data.g, -cfg.beta, part, "source")
     vt_norm = c1plus_norm(data.v_T.periodic, cfg.alpha, part)
     theta_p = (1.0 - cfg.alpha - cfg.beta) / 2.0
     # R_lambda is a double exponential in the drift norm; both sides are

@@ -36,12 +36,10 @@ from besovpde.solver import (
     SolverError,
     _check_mesh,
     _operator,
-    _path,
-    _path_besov_norm,
     _quad_tolerance_from_nodes,
     _slopes,
-    _stacks,
     default_test_fields,
+    path_besov_norm,
     select_rho,
     weak_residual,
 )
@@ -261,6 +259,24 @@ def _affine(s):
     if isinstance(s, SpectralField):
         return AffinePeriodicField.from_periodic(s)
     return s
+
+
+def pack(tf):
+    """A path's ``(M+1,) + comp + grid`` periodic coefficients, its slopes
+    (zero at periodic nodes) and whether every node is real, read node by
+    node from ``tf.slices``."""
+    slices = [_affine(s) for s in tf.slices]
+    return (np.array([s.periodic.coeffs for s in slices]),
+            np.array([s.slope for s in slices]),
+            all(s.periodic.real for s in slices))
+
+
+def unpack(t_grid, grid, coeffs, slopes, real):
+    """The path of affine nodes with these periodic coefficients and slopes,
+    built as a list of per-node fields."""
+    return TimeField(t_grid, [
+        AffinePeriodicField(s, SpectralField(grid, c, real=real))
+        for s, c in zip(slopes, coeffs)])
 
 
 def _increment_norm(delta, kind, alpha, part):
@@ -489,7 +505,7 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
             raise SolverError(
                 "rho='auto' needs a calibration; run calibrate first or "
                 "pass rho explicitly")
-        b_norm = _path_besov_norm(data.b, -cfg.beta, part, "drift")
+        b_norm = path_besov_norm(data.b, -cfg.beta, part, "drift")
         rho = select_rho(cfg, b_norm, contraction_constant(calibration, cfg))
     rho = float(rho)
     kind = "dc" if data.is_affine else "c1plus"
@@ -504,7 +520,7 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
         s, real = np.zeros_like(slopes), True
     else:
         _check_mesh(v0, data, cfg)
-        p, s, real = _stacks(v0)
+        p, s, real = pack(v0)
     ratios = []
     ratios_raw = []
     prev_log = None
@@ -558,7 +574,7 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
 
     quad_tol = _quad_tolerance_from_nodes(integrand(p, s, real), data.grid,
                                           cfg.T, cfg.tol_fix)
-    v = _path(data, p, s)
+    v = unpack(data.b.t_grid, data.grid, p, s, data.v_T.periodic.real)
     result = SolveResult(
         v=v,
         iterations=iterations,

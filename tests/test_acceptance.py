@@ -40,7 +40,7 @@ from besovpde import (
     weak_residual,
 )
 from besovpde.experiments import DriftSpec
-from besovpde.solver import _stacks, identity_component
+from besovpde.solver import identity_component
 from oracles import mol_reference_1d, picard_solve
 
 BETA, EPS = 0.3, 0.1
@@ -170,7 +170,7 @@ def test_c03_contraction_certificate(part, rough_solve):
     res, data, cfg, elapsed = rough_solve
     full = picard_solve(data, cfg, part=part, compute_weak_residual=False)
     worst_ratio = max(full.ratios) if full.ratios else 0.0
-    p, p_full = _stacks(res.v)[0], _stacks(full.v)[0]
+    p, p_full = res.v.coeffs, full.v.coeffs
     gap = float(np.abs(p - p_full).max() / np.abs(p_full).max())
     report(3, "contraction certificate",
            worst_ratio <= 0.55 and full.iterations <= 40 and elapsed < 120.0

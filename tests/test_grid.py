@@ -182,8 +182,46 @@ def test_timefield_invariants(grid64):
         TimeField(np.array([0.0, 1.0]), [f, f])  # M = 1 < 2
     with pytest.raises(GridError):
         TimeField(np.array([0.0, 0.5, 0.7]), [f, f, f])  # nonuniform
+    with pytest.raises(GridError, match="t_0 = 0.5"):
+        TimeField(np.linspace(0.5, 1.0, 17), [f] * 17)  # does not start at 0
+    with pytest.raises(GridError, match="4 slices for 5 mesh nodes"):
+        TimeField(TimeField.uniform_mesh(1.0, 4), [f] * 4)
+    with pytest.raises(GridError, match="do not fit"):
+        TimeField.from_stacks(TimeField.uniform_mesh(1.0, 4), grid64,
+                              np.zeros((5, 3) + grid64.shape))
     tf = TimeField(TimeField.uniform_mesh(1.0, 4), [f] * 5)
     assert tf.M == 4 and tf.T == 1.0
+
+
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize("comp", [(), (2,)])
+@pytest.mark.parametrize("real", [True, False])
+def test_timefield_round_trips_its_slices_exactly(affine, comp, real, rng):
+    # per-node slices -> one coefficient stack and one slope stack -> slices
+    grid = TorusGrid(d=2, n=8)
+    slices = []
+    for _ in range(5):
+        shape = comp + grid.shape
+        s = SpectralField(grid, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape), real=real)
+        if affine:
+            s = AffinePeriodicField(rng.standard_normal(comp + (2,)), s)
+        slices.append(s)
+    tf = TimeField(TimeField.uniform_mesh(1.0, 4), slices)
+    assert tf.coeffs.shape == (5,) + comp + grid.shape
+    assert (tf.slopes is None) == (not affine)
+    assert tf.real == real and tf.comp_shape == comp
+    for m, (a, b) in enumerate(zip(slices, tf.slices)):
+        assert type(b) is type(a)
+        pa = a.periodic if affine else a
+        pb = b.periodic if affine else b
+        assert np.array_equal(pb.coeffs, pa.coeffs)
+        assert pb.real == pa.real and pb.comp_shape == pa.comp_shape
+        assert np.shares_memory(pb.coeffs, tf.coeffs)   # a view, not a copy
+        if affine:
+            assert np.array_equal(b.slope, a.slope)
+        c = tf[m].periodic if affine else tf[m]
+        assert np.array_equal(c.coeffs, pa.coeffs)
 
 
 def test_affine_gradient_field(grid64):

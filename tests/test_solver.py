@@ -36,9 +36,9 @@ from besovpde import (
 from besovpde.lp import besov_norms
 from besovpde.solver import (
     NewtonError,
-    _path_besov_norm,
     _quad_tolerance_from_nodes,
     identity_component,
+    path_besov_norm,
 )
 from besovpde.calibration import calibrate_convolution, pair_key
 from oracles import (
@@ -48,6 +48,7 @@ from oracles import (
     convolution_constant_by_apply_T,
     gamma_by_quadrature,
     mol_reference_1d,
+    pack,
     per_node_apply_T,
     per_node_drift_terms,
     per_node_weak_residual,
@@ -79,8 +80,8 @@ def make_data(grid, mesh, b=None, g=None, v_T=None):
 def coefficient_gap(res, ref):
     """Largest periodic-coefficient gap between two solves, relative to
     the reference's largest coefficient; their slopes must agree exactly."""
-    p, slopes, _ = solver._stacks(res.v)
-    p_ref, slopes_ref, _ = solver._stacks(ref.v)
+    p, slopes, _ = pack(res.v)
+    p_ref, slopes_ref, _ = pack(ref.v)
     assert np.array_equal(slopes, slopes_ref)
     return float(np.abs(p - p_ref).max() / np.abs(p_ref).max())
 
@@ -650,8 +651,8 @@ def test_march_matches_the_picard_oracle(grid64, part64, case, lam, kernel):
 
 def mild_increment(res, data, cfg, part):
     """max over the nodes of ||T(v) - v|| in the solve's increment norm."""
-    p, slopes, real = solver._stacks(res.v)
-    q, _, real_q = solver._stacks(apply_T(res.v, data, cfg, part))
+    p, slopes, real = pack(res.v)
+    q, _, real_q = pack(apply_T(res.v, data, cfg, part))
     if res.norm_kind == "dc":
         norms = solver.dc_norms(np.zeros_like(slopes), q - p, cfg.alpha,
                                 part, real and real_q)
@@ -877,9 +878,52 @@ def test_static_drift_norm_measures_each_slice_object_once(grid64, part64,
         return besov_norms(coeffs, *args)
 
     monkeypatch.setattr(solver, "besov_norms", spy)
-    norm = _path_besov_norm(b, -0.3, part64, "drift")
+    norm = path_besov_norm(b, -0.3, part64, "drift")
     assert rows == [2]
     assert np.array_equal(norm, expected)
+
+
+def test_path_norm_measures_equal_valued_nodes_once(grid64, part64,
+                                                    monkeypatch):
+    # repeated nodes are found by value: nine distinct objects with equal
+    # coefficients are measured as one row
+    mesh = TimeField.uniform_mesh(1.0, 8)
+    b0 = dyadic_random_field(grid64, -0.3, seed=7, comp_shape=(1,),
+                             part=part64)
+    b = TimeField(mesh, [SpectralField(grid64, b0.coeffs.copy())
+                         for _ in mesh])
+    expected = besov_norms(b0.coeffs[None], -0.3, part64)[0]
+    rows = []
+
+    def spy(coeffs, *args):
+        rows.append(len(coeffs))
+        return besov_norms(coeffs, *args)
+
+    monkeypatch.setattr(solver, "besov_norms", spy)
+    norm = path_besov_norm(b, -0.3, part64, "drift")
+    assert rows == [1]
+    assert norm == expected
+
+
+def test_solve_builds_no_per_node_field_objects(grid128, part128,
+                                                monkeypatch):
+    # a solve-1d-shaped problem (n = 128, M = 64, static rough drift, affine
+    # terminal data) runs on the paths' stacks: the Picard prefix, the
+    # march, the certificate and the weak residual construct O(1)
+    # AffinePeriodicField objects, not one or more per node
+    data = _affine_rough_1d(grid128, part128, M=64)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=64, lam=0.0, rho=8.0)
+    built = []
+    post_init = AffinePeriodicField.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AffinePeriodicField, "__post_init__", spy)
+    res = solve_mild(data, cfg, part=part128)
+    assert res.march_steps > 0
+    assert len(built) <= 2
 
 
 @pytest.mark.parametrize("shape", [(17, 64), (9, 16, 16)])
