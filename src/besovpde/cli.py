@@ -36,7 +36,7 @@ from .grid import (
     TimeField,
     TorusGrid,
     load_field,
-    save_field,
+    save_fields,
     to_fourier,
 )
 from .heat import schauder_fit
@@ -246,7 +246,7 @@ def _source(conf, grid, mesh, b: TimeField) -> TimeField:
         coeffs = b.coeffs[:, conf["source.component"]] * amp
     else:
         raise ConfigError(f"unknown source.kind {kind!r}")
-    return TimeField.from_stacks(mesh, grid, coeffs, real=b.real)
+    return TimeField.from_stacks(mesh, grid, coeffs)
 
 
 def _load_calibration_or_die(args, needed: bool, grid: TorusGrid):
@@ -341,11 +341,8 @@ def cmd_build_phi(conf, args, out: Path):
     if cfg.lam <= 0:
         raise ConfigError("build-phi needs lambda.value > 0 or auto-threshold")
     res = build_phi(b, cfg, part=part, calibration=calib)
-    files = []
-    for m, coeffs in enumerate(res.phi.coeffs):
-        path = out / f"phi_{m:05d}.field"
-        save_field(path, SpectralField(grid, coeffs, real=res.phi.real))
-        files.append(path)
+    files = [out / f"phi_{m:05d}.field" for m in range(len(res.phi))]
+    save_fields(files, grid, res.phi.coeffs)
     return files, {
         "lambda": res.lam,
         "grad_sup": res.grad_sup,

@@ -118,7 +118,7 @@ def gen_drift(spec: DriftSpec, grid: TorusGrid, t_grid,
         T = t_grid[-1]
         scale = [0.75 + 0.25 * math.cos(2.0 * math.pi * t / T) for t in t_grid]
         coeffs *= np.reshape(scale, (-1,) + (1,) * base.coeffs.ndim)
-    return TimeField.from_stacks(t_grid, grid, coeffs, real=base.real)
+    return TimeField.from_stacks(t_grid, grid, coeffs)
 
 
 def mollify_timefield(tf: TimeField, eps: float) -> TimeField:
@@ -126,7 +126,7 @@ def mollify_timefield(tf: TimeField, eps: float) -> TimeField:
     coefficient stack by the heat weights; affine slopes are untouched."""
     weights = HeatMultiplier(tf.grid, eps).weights
     return TimeField.from_stacks(tf.t_grid, tf.grid, tf.coeffs * weights,
-                                 tf.slopes, tf.real)
+                                 tf.slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +208,15 @@ def continuity_study_v(b: TimeField, g: TimeField, v_T, cfg: SolverConfig,
         varied = data.b if vary == "b" else data.g
         target = ref_data.b if vary == "b" else ref_data.g
         gap = TimeField.from_stacks(b.t_grid, b.grid,
-                                    varied.coeffs - target.coeffs,
-                                    real=varied.real and target.real)
+                                    varied.coeffs - target.coeffs)
         premise.append(path_besov_norm(gap, gamma_data, part,
                                        f"{varied_name} premise"))
         v = _solve(data, cfg, part).v
-        dp, real = v.coeffs - ref.v.coeffs, v.real and ref.v.real
+        dp = v.coeffs - ref.v.coeffs
         grad = besov_norms(gradient_stack(dp, b.grid, v.slopes - ref.v.slopes),
-                           cfg.alpha, part, real)
+                           cfg.alpha, part)
         # |dv(0)|: the slope term vanishes at the origin
-        origin = dp.reshape(len(dp), -1).sum(axis=1)
-        origin = np.abs(origin.real if real else origin)
+        origin = np.abs(dp.reshape(len(dp), -1).sum(axis=1).real)
         # np.max, not the builtin max, which drops a NaN
         err_v.append(float(np.max(origin + grad)))
         err_grad.append(float(np.max(grad)))

@@ -1,9 +1,9 @@
-"""Torus discretization and the dual real/Fourier field representation.
+"""Torus discretization and real fields held by their Fourier coefficients.
 
 Fields live on a periodic box [0, L)^d sampled on a uniform n^d lattice.
-The forward transform carries the 1/n^d normalization, so the k=0
-coefficient of a field is its mean.  Every other module consumes the
-types defined here.
+Every field is real, so its coefficients are Hermitian.  The forward
+transform carries the 1/n^d normalization, so the k=0 coefficient of a
+field is its mean.  Every other module consumes the types defined here.
 """
 
 from __future__ import annotations
@@ -27,18 +27,19 @@ __all__ = [
     "sup_norms",
     "evaluate_at",
     "save_field",
+    "save_fields",
     "load_field",
 ]
 
 _ROUND_TRIP_TOL = 1e-12
 
 # Bytes of refined samples one batched sup-norm transform produces (8 a
-# point for real stacks, 16 for complex).  Measured on the benchmark
-# workloads (2-core host, numpy 2.4, one 20 s run each): the 2D solve's
-# median op is ~1.2 s at 128 or 256 KiB against ~1.4 s at 64 KiB, where
-# gradient pairs go one per transform; the 1D solve reads 0.47-0.51 s at
-# 64-256 KiB, and 256 KiB adds ~1 MB (2.6%) peak RSS.  512 KiB chunks and
-# whole-node batches cost 5-6% peak RSS.
+# point).  Measured on the benchmark workloads (2-core host, numpy 2.4,
+# one 20 s run each): the 2D solve's median op is ~1.2 s at 128 or
+# 256 KiB against ~1.4 s at 64 KiB, where gradient pairs go one per
+# transform; the 1D solve reads 0.47-0.51 s at 64-256 KiB, and 256 KiB
+# adds ~1 MB (2.6%) peak RSS.  512 KiB chunks and whole-node batches cost
+# 5-6% peak RSS.
 CHUNK_BYTES = 128 * 1024
 
 
@@ -145,13 +146,12 @@ class SpectralField:
 
     ``coeffs`` has shape ``comp_shape + (n,)*d`` where ``comp_shape`` is
     ``()`` for scalars, ``(d,)`` for vectors and ``(d, d)`` for matrix
-    fields.  ``real`` asserts that the real-space samples are real; the
-    coefficients then carry Hermitian symmetry.
+    fields.  The field is real: the coefficients must be Hermitian,
+    ``c(-k) = conj(c(k))``, as those of ``to_fourier`` of real samples are.
     """
 
     grid: TorusGrid
     coeffs: np.ndarray
-    real: bool = True
     # original sample block when built from samples; keeps file round trips
     # bit-exact (fft followed by ifft is not the bit identity)
     sample_cache: np.ndarray = field(default=None, repr=False, compare=False)
@@ -182,36 +182,31 @@ class SpectralField:
         return tuple(range(nd - self.grid.d, nd))
 
     def samples(self) -> np.ndarray:
-        """Real-space samples (real array when the parity flag is set)."""
+        """Real-space samples."""
         if self.sample_cache is not None:
             return self.sample_cache
         vals = np.fft.ifftn(self.coeffs, axes=self.space_axes) * self.grid.n**self.grid.d
-        if self.real:
-            return vals.real
-        return vals
+        return vals.real
 
     def mean(self) -> np.ndarray:
         idx = (...,) + (0,) * self.grid.d
-        c = self.coeffs[idx]
-        return c.real if self.real else c
+        return self.coeffs[idx].real
 
     def __add__(self, other):
         _check_same_layout(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             real=self.real and other.real)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_same_layout(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             real=self.real and other.real)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * scalar, real=self.real)
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def component(self, *idx) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs[idx], real=self.real)
+        return SpectralField(self.grid, self.coeffs[idx])
 
     def sup_norm(self, refine: int = 2) -> float:
         """Sup of the pointwise Euclidean magnitude over the refined grid.
@@ -219,8 +214,7 @@ class SpectralField:
         Band-limited fields can exceed their grid maximum between samples,
         so the default evaluates on the ``refine``-times finer lattice.
         """
-        return float(sup_norms(self.coeffs[None], self.grid, self.real,
-                               refine)[0])
+        return float(sup_norms(self.coeffs[None], self.grid, refine)[0])
 
     @staticmethod
     def zero(grid: TorusGrid, comp_shape: tuple = ()) -> "SpectralField":
@@ -236,13 +230,16 @@ def _check_same_layout(a: SpectralField, b: SpectralField):
         )
 
 
-def to_fourier(samples: np.ndarray, grid: TorusGrid, real=None) -> SpectralField:
+def to_fourier(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
     """Forward transform of real-space samples into a SpectralField.
 
     ``samples`` has shape ``comp_shape + (n,)*d``; per-axis lengths are
     validated individually so a mismatch names the offending axis.
+    Complex samples raise a GridError: fields are real.
     """
     samples = np.asarray(samples)
+    if np.iscomplexobj(samples):
+        raise GridError(f"samples must be real, got {samples.dtype}")
     if samples.ndim < grid.d:
         raise GridError(
             f"samples have {samples.ndim} axes, need at least d={grid.d}"
@@ -253,12 +250,9 @@ def to_fourier(samples: np.ndarray, grid: TorusGrid, real=None) -> SpectralField
             raise GridError(
                 f"axis {ax}: expected {grid.n} samples per axis, got {got}"
             )
-    if real is None:
-        real = not np.iscomplexobj(samples)
     space_axes = tuple(range(samples.ndim - grid.d, samples.ndim))
     coeffs = np.fft.fftn(samples, axes=space_axes) / grid.n**grid.d
-    cache = samples if real and not np.iscomplexobj(samples) else None
-    return SpectralField(grid, coeffs, real=real, sample_cache=cache)
+    return SpectralField(grid, coeffs, sample_cache=samples)
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -268,8 +262,7 @@ def gradient(f: SpectralField) -> SpectralField:
     entries (i, j) = d_i f_j.  Axis Nyquist planes are zeroed since the
     odd-order derivative of the unpaired mode has no well-defined sign.
     """
-    return SpectralField(f.grid, gradient_stack(f.coeffs[None], f.grid)[0],
-                         real=f.real)
+    return SpectralField(f.grid, gradient_stack(f.coeffs[None], f.grid)[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -309,56 +302,47 @@ def gradient_stack(coeffs: np.ndarray, grid: TorusGrid,
     return out
 
 
-def _padded_samples(coeffs: np.ndarray, grid: TorusGrid, real: bool,
+def _padded_samples(coeffs: np.ndarray, grid: TorusGrid,
                     refine: int) -> np.ndarray:
     """Samples on a ``refine``-times finer grid via Fourier zero-padding.
 
     The coefficients' last d axes are the grid; leading axes are a batch,
     transformed together.  Axis Nyquist coefficients are split evenly
-    between +-n/2 so that real fields stay real and the original grid
+    between +-n/2 so that the samples stay real and the original grid
     points are reproduced.  The one kernel behind every sampling on the
     refined grid: sup norms, block sup norms, the dealiased products and
     the Bony blocks.
 
-    With ``real`` the coefficients must be Hermitian, as a real field's
-    are, and the samples come from a real inverse transform of the half
-    spectrum on the last axis: modes 0..n/2-1, the coarse Nyquist halved
-    into slot n/2, zeros above.  That transform reads only the half
-    spectrum, so coefficients that are not Hermitian give the samples of
-    a different field, not the real part of their own.  Without ``real``
-    the whole padded spectrum goes through a complex inverse transform.
+    The samples come from a real inverse transform of the half spectrum
+    on the last axis: modes 0..n/2-1, the coarse Nyquist halved into slot
+    n/2, zeros above.  That transform reads only the half spectrum, so
+    coefficients that are not Hermitian give the samples of a different
+    field, not the real part of their own.
     """
     n, d = grid.n, grid.d
     fine_n = refine * n
     axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
-    if real:
-        pad = np.zeros(coeffs.shape[:-1] + (fine_n // 2 + 1,), dtype=complex)
-        pad[..., :n // 2] = coeffs[..., :n // 2]
-        pad[..., n // 2] = coeffs[..., n // 2] * (0.5 if refine > 1 else 1.0)
-        embed = d - 1
-    else:
-        pad, embed = coeffs, d
+    pad = np.zeros(coeffs.shape[:-1] + (fine_n // 2 + 1,), dtype=complex)
+    pad[..., :n // 2] = coeffs[..., :n // 2]
+    pad[..., n // 2] = coeffs[..., n // 2] * (0.5 if refine > 1 else 1.0)
     if refine > 1:
-        for ax in range(embed):
+        for ax in range(d - 1):
             pad = _embed_axis(pad, axes[ax], n, fine_n)
-    if real:   # unnormalized: the coefficients carry the 1/n^d already
-        return np.fft.irfftn(pad, s=(fine_n,) * d, axes=axes, norm="forward")
-    return np.fft.ifftn(pad, axes=axes) * fine_n**d
+    # unnormalized: the coefficients carry the 1/n^d already
+    return np.fft.irfftn(pad, s=(fine_n,) * d, axes=axes, norm="forward")
 
 
-def chunk_rows(row_shape: tuple, grid: TorusGrid, real: bool = True,
-               refine: int = 2) -> int:
+def chunk_rows(row_shape: tuple, grid: TorusGrid, refine: int = 2) -> int:
     """Rows of shape ``comp_shape + grid.shape`` one batched transform takes.
 
-    Their refined samples (8 bytes a point for real rows, 16 for complex)
-    fit in CHUNK_BYTES; a row larger than that goes alone.
+    Their refined samples (8 bytes a point) fit in CHUNK_BYTES; a row
+    larger than that goes alone.
     """
     comps = math.prod(row_shape[:len(row_shape) - grid.d])
-    itemsize = 8 if real else 16
-    return max(1, CHUNK_BYTES // (comps * (refine * grid.n) ** grid.d * itemsize))
+    return max(1, CHUNK_BYTES // (comps * (refine * grid.n) ** grid.d * 8))
 
 
-def sup_norms(coeffs: np.ndarray, grid: TorusGrid, real: bool = True,
+def sup_norms(coeffs: np.ndarray, grid: TorusGrid,
               refine: int = 2) -> np.ndarray:
     """``sup_norm`` of every row of a ``(N,) + comp_shape + grid`` stack.
 
@@ -366,10 +350,10 @@ def sup_norms(coeffs: np.ndarray, grid: TorusGrid, real: bool = True,
     ``chunk_rows`` rows, each chunk one call of the padded-sample kernel.
     """
     d = grid.d
-    rows = chunk_rows(coeffs.shape[1:], grid, real, refine)
+    rows = chunk_rows(coeffs.shape[1:], grid, refine)
     out = np.empty(len(coeffs))
     for lo in range(0, len(coeffs), rows):
-        vals = _padded_samples(coeffs[lo:lo + rows], grid, real, refine)
+        vals = _padded_samples(coeffs[lo:lo + rows], grid, refine)
         if vals.ndim > 1 + d:   # Euclidean magnitude over the components
             flat = vals.reshape((len(vals), -1) + vals.shape[-d:])
             mag = np.sqrt(np.sum(np.abs(flat) ** 2, axis=1))
@@ -443,7 +427,7 @@ class AffinePeriodicField:
         """
         p = self.periodic
         coeffs = gradient_stack(p.coeffs[None], self.grid, self.slope[None])[0]
-        return SpectralField(self.grid, coeffs, real=p.real)
+        return SpectralField(self.grid, coeffs)
 
     def __sub__(self, other: "AffinePeriodicField") -> "AffinePeriodicField":
         return AffinePeriodicField(self.slope - other.slope,
@@ -474,9 +458,7 @@ def evaluate_at(f, x) -> np.ndarray:
     for ax in range(g.d):
         phase = np.exp(1j * k1 * x[ax])
         acc = np.tensordot(acc, phase, axes=(ncomp_axes, 0))
-    if f.real:
-        return np.asarray(acc.real)
-    return np.asarray(acc)
+    return np.asarray(acc.real)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -495,7 +477,6 @@ class TimeField:
     grid: TorusGrid
     coeffs: np.ndarray = field(repr=False)
     slopes: np.ndarray = field(repr=False)
-    real: bool
 
     def __init__(self, t_grid, slices):
         if len(slices) != len(t_grid):
@@ -509,18 +490,17 @@ class TimeField:
         if any(isinstance(s, AffinePeriodicField) for s in slices):
             slopes = np.array([getattr(s, "slope", np.zeros(comp + (grid.d,)))
                                for s in slices])
-        self._store(t_grid, grid, np.array([p.coeffs for p in parts]),
-                    slopes, all(p.real for p in parts))
+        self._store(t_grid, grid, np.array([p.coeffs for p in parts]), slopes)
 
     @classmethod
     def from_stacks(cls, t_grid, grid: TorusGrid, coeffs: np.ndarray,
-                    slopes: np.ndarray = None, real: bool = True):
+                    slopes: np.ndarray = None):
         """The path with these stacks, kept without a copy."""
         tf = cls.__new__(cls)
-        tf._store(t_grid, grid, coeffs, slopes, real)
+        tf._store(t_grid, grid, coeffs, slopes)
         return tf
 
-    def _store(self, t_grid, grid, coeffs, slopes, real):
+    def _store(self, t_grid, grid, coeffs, slopes):
         t = np.asarray(t_grid, dtype=float)
         steps = np.diff(t)
         if len(t) < 3:
@@ -538,7 +518,7 @@ class TimeField:
                             f"{getattr(slopes, 'shape', None)} do not fit "
                             f"{len(t)} nodes of a d={grid.d}, n={grid.n} grid")
         for name, value in (("t_grid", t), ("grid", grid), ("coeffs", coeffs),
-                            ("slopes", slopes), ("real", bool(real))):
+                            ("slopes", slopes)):
             object.__setattr__(self, name, value)
 
     @property
@@ -558,7 +538,7 @@ class TimeField:
         return [self[m] for m in range(len(self))]
 
     def __getitem__(self, m):
-        periodic = SpectralField(self.grid, self.coeffs[m], real=self.real)
+        periodic = SpectralField(self.grid, self.coeffs[m])
         if self.slopes is None:
             return periodic
         return AffinePeriodicField(self.slopes[m], periodic)
@@ -581,9 +561,7 @@ class TimeField:
 
 
 def save_field(path, f: SpectralField):
-    """Write a real field: JSON header line + little-endian float64 block."""
-    if not f.real:
-        raise GridError("field files store real-valued sample blocks only")
+    """Write a field: JSON header line + little-endian float64 block."""
     g = f.grid
     header = {
         "d": g.d,
@@ -596,6 +574,19 @@ def save_field(path, f: SpectralField):
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         fh.write(block.tobytes())
+
+
+def save_fields(paths, grid: TorusGrid, coeffs: np.ndarray):
+    """``save_field`` of every row of a ``(N,) + comp_shape + grid`` stack.
+
+    Row m goes to ``paths[m]``.  The samples of all rows come from one
+    batched inverse transform, which gives each row the same bytes as its
+    own transform would.
+    """
+    axes = tuple(range(coeffs.ndim - grid.d, coeffs.ndim))
+    samples = (np.fft.ifftn(coeffs, axes=axes) * grid.n**grid.d).real
+    for path, c, s in zip(paths, coeffs, samples):
+        save_field(path, SpectralField(grid, c, sample_cache=s))
 
 
 def load_field(path) -> SpectralField:

@@ -58,7 +58,7 @@ def apply_field(mult: HeatMultiplier, f):
         return AffinePeriodicField(f.slope, apply_field(mult, f.periodic))
     if f.grid != mult.grid:
         raise ValueError("field and multiplier grids differ")
-    return SpectralField(f.grid, f.coeffs * mult.weights, real=f.real)
+    return SpectralField(f.grid, f.coeffs * mult.weights)
 
 
 def apply_heat(t: float, f):

@@ -148,13 +148,12 @@ def lp_blocks(f: SpectralField, part: DyadicPartition = None) -> LPDecomposition
         part = dyadic_partition(f.grid)
     if part.grid != f.grid:
         raise GridError("field and partition live on different grids")
-    blocks = [SpectralField(f.grid, f.coeffs * w, real=f.real)
-              for w in part.windows]
+    blocks = [SpectralField(f.grid, f.coeffs * w) for w in part.windows]
     return LPDecomposition(partition=part, blocks=blocks)
 
 
 def block_sup_stack(coeffs: np.ndarray, part: DyadicPartition,
-                    real: bool = True, refine: int = 2) -> np.ndarray:
+                    refine: int = 2) -> np.ndarray:
     """Block sup norms of a ``(N,) + comp_shape + grid`` coefficient stack.
 
     Entry (i, j + 1) is ``||Delta_j f_i||_inf`` on the ``refine``-times
@@ -168,13 +167,13 @@ def block_sup_stack(coeffs: np.ndarray, part: DyadicPartition,
         raise GridError("coefficients and partition live on different grids")
     n_blocks = len(part.windows)
     window_shape = (1,) * (coeffs.ndim - 1 - g.d) + g.shape
-    pairs = chunk_rows(coeffs.shape[1:], g, real, refine)
+    pairs = chunk_rows(coeffs.shape[1:], g, refine)
     total = len(coeffs) * n_blocks
     out = np.empty(total)
     for lo in range(0, total, pairs):
         node, block = np.divmod(np.arange(lo, min(lo + pairs, total)), n_blocks)
         windows = part.windows[block].reshape((len(block),) + window_shape)
-        out[lo:lo + pairs] = sup_norms(coeffs[node] * windows, g, real, refine)
+        out[lo:lo + pairs] = sup_norms(coeffs[node] * windows, g, refine)
     return out.reshape(len(coeffs), n_blocks)
 
 
@@ -206,17 +205,17 @@ def besov_norm(f: SpectralField, gamma: float,
         part = dyadic_partition(f.grid)
     if part.grid != f.grid:
         raise GridError("field and partition live on different grids")
-    sups = block_sup_stack(f.coeffs[None], part, f.real, refine)[0]
+    sups = block_sup_stack(f.coeffs[None], part, refine)[0]
     j = part.j_indices
     ledger = 2.0 ** (j * gamma) * sups
     return BesovNorm(gamma=gamma, value=float(ledger.max()), ledger=ledger,
                      block_sups=sups, j_indices=j)
 
 
-def besov_norms(coeffs: np.ndarray, gamma: float, part: DyadicPartition,
-                real: bool = True) -> np.ndarray:
+def besov_norms(coeffs: np.ndarray, gamma: float,
+                part: DyadicPartition) -> np.ndarray:
     """``besov_norm(f, gamma, part).value`` of every row of a stack."""
-    ledger = 2.0 ** (part.j_indices * gamma) * block_sup_stack(coeffs, part, real)
+    ledger = 2.0 ** (part.j_indices * gamma) * block_sup_stack(coeffs, part)
     return ledger.max(axis=1)
 
 
@@ -298,12 +297,12 @@ def dc_norm(f: AffinePeriodicField, alpha: float,
         raise GridError("dc_norm expects a scalar field")
     if part is None:
         part = dyadic_partition(f.grid)
-    return float(dc_norms(f.slope[None], f.periodic.coeffs[None], alpha, part,
-                          f.periodic.real)[0])
+    return float(dc_norms(f.slope[None], f.periodic.coeffs[None], alpha,
+                          part)[0])
 
 
 def dc_norms(slopes: np.ndarray, coeffs: np.ndarray, alpha: float,
-             part: DyadicPartition, real: bool = True) -> np.ndarray:
+             part: DyadicPartition) -> np.ndarray:
     """``dc_norm`` of every scalar field ``slopes[i] . x + p_i``.
 
     ``slopes`` is (N, d) and ``coeffs`` the (N,) + grid coefficients of
@@ -312,9 +311,9 @@ def dc_norms(slopes: np.ndarray, coeffs: np.ndarray, alpha: float,
     g = part.grid
     # f_i(0) is the sum of the coefficients; the slope term vanishes there
     origin = coeffs.reshape(len(coeffs), -1).sum(axis=1)
-    origin = np.abs(origin.real if real else origin)
+    origin = np.abs(origin.real)
     grad = gradient_stack(coeffs, g, slopes)
-    return origin + besov_norms(grad, alpha, part, real)
+    return origin + besov_norms(grad, alpha, part)
 
 
 def c1plus_norm(f, alpha: float, part: DyadicPartition = None) -> float:
@@ -325,15 +324,15 @@ def c1plus_norm(f, alpha: float, part: DyadicPartition = None) -> float:
         f = f.periodic
     if part is None:
         part = dyadic_partition(f.grid)
-    return float(c1plus_norms(f.coeffs[None], alpha, part, f.real)[0])
+    return float(c1plus_norms(f.coeffs[None], alpha, part)[0])
 
 
-def c1plus_norms(coeffs: np.ndarray, alpha: float, part: DyadicPartition,
-                 real: bool = True) -> np.ndarray:
+def c1plus_norms(coeffs: np.ndarray, alpha: float,
+                 part: DyadicPartition) -> np.ndarray:
     """``c1plus_norm`` of every row of a ``(N,) + grid`` scalar stack."""
     g = part.grid
-    return (sup_norms(coeffs, g, real)
-            + besov_norms(gradient_stack(coeffs, g), alpha, part, real))
+    return (sup_norms(coeffs, g)
+            + besov_norms(gradient_stack(coeffs, g), alpha, part))
 
 
 def rho_time_norm_log(norms: np.ndarray, t_grid: np.ndarray,
@@ -392,7 +391,7 @@ def dyadic_random_field(grid: TorusGrid, gamma: float, seed,
                 continue
             acc += ring * (amplitude * 2.0 ** (-j * gamma) / sup)
         out[comp] = acc
-    return SpectralField(grid, out, real=True)
+    return SpectralField(grid, out)
 
 
 def interior_mode_field(grid: TorusGrid, block_targets: dict, seed,
@@ -426,7 +425,7 @@ def interior_mode_field(grid: TorusGrid, block_targets: dict, seed,
         scale = target / sup
         coeffs[idx_pos] *= scale
         coeffs[idx_neg] *= scale
-    return SpectralField(grid, coeffs, real=True)
+    return SpectralField(grid, coeffs)
 
 
 def _interior_radius(grid: TorusGrid, j: int):

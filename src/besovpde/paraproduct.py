@@ -6,7 +6,7 @@ block pairs (i, j) with i <= j-2 (low f times high g), j <= i-2, and
 block products never alias into wrong rings; the result is truncated back
 to the resolved band with the Nyquist plane zeroed.  Every factor is
 sampled there by ``grid._padded_samples``, the one padded-sample kernel
-(a real inverse transform for real fields).
+(a real inverse transform of the Hermitian half spectrum).
 
 The three Bony terms cover every block pair, so on the grid their sum is
 the plain dealiased product.  The split is what the paper's product
@@ -103,8 +103,8 @@ def bony_product(f: SpectralField, alpha: float, g: SpectralField,
             f"bony estimate hypothesis violated (alpha={alpha}, beta={beta}); "
             "computing the product anyway", stacklevel=2)
     # every block of each factor on the 2x grid, one transform per factor
-    fb = _padded_samples(part.windows * f.coeffs, f.grid, f.real, 2)
-    gb = _padded_samples(part.windows * g.coeffs, g.grid, g.real, 2)
+    fb = _padded_samples(part.windows * f.coeffs, f.grid, 2)
+    gb = _padded_samples(part.windows * g.coeffs, g.grid, 2)
     nblocks = fb.shape[0]
     f_cum = np.cumsum(fb, axis=0)
     g_cum = np.cumsum(gb, axis=0)
@@ -118,8 +118,7 @@ def bony_product(f: SpectralField, alpha: float, g: SpectralField,
         lo, hi = max(0, p - 1), min(nblocks - 1, p + 1)
         resonant += fb[p] * (g_cum[hi] - (g_cum[lo - 1] if lo > 0 else 0.0))
     terms = _truncate_to_grid(np.stack([low_high, high_low, resonant]), f.grid)
-    t_lh, t_hl, t_res = (SpectralField(f.grid, c, real=f.real and g.real)
-                         for c in terms)
+    t_lh, t_hl, t_res = (SpectralField(f.grid, c) for c in terms)
     total = t_lh + t_hl + t_res
     return BonyProduct(para_low_high=t_lh, para_high_low=t_hl,
                        resonant=t_res, total=total,
@@ -130,21 +129,19 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product computed on the 2x grid, truncated to the band."""
     if f.grid != g.grid:
         raise GridError("dealiased_product: fields on different grids")
-    prod = (_padded_samples(f.coeffs, f.grid, f.real, 2)
-            * _padded_samples(g.coeffs, g.grid, g.real, 2))
-    return SpectralField(f.grid, _truncate_to_grid(prod, f.grid),
-                         real=f.real and g.real)
+    prod = (_padded_samples(f.coeffs, f.grid, 2)
+            * _padded_samples(g.coeffs, g.grid, 2))
+    return SpectralField(f.grid, _truncate_to_grid(prod, f.grid))
 
 
-def drift_samples(b: np.ndarray, grid: TorusGrid,
-                  real: bool = True) -> np.ndarray:
+def drift_samples(b: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """The 2x-grid samples of a ``(N, d) + grid`` stack, as ``drift_terms``
     takes them through ``b_samples``."""
-    return _padded_samples(b, grid, real, 2)
+    return _padded_samples(b, grid, 2)
 
 
 def drift_terms(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
-                real: bool = True, b_samples: np.ndarray = None) -> np.ndarray:
+                b_samples: np.ndarray = None) -> np.ndarray:
     """``drift_term`` of every row pair of two ``(N, d) + grid`` stacks.
 
     Row i of the ``(N,) + grid`` result holds the coefficients of
@@ -153,19 +150,19 @@ def drift_terms(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
     factor raised the 1D benchmark's peak RSS by ~1 MB): each chunk is
     sampled by one padded-sample call per factor, multiplied, summed over
     components and truncated in one batch.  ``b_samples``, when given, is
-    ``drift_samples(b, grid, real)``: a caller pairing many stacks with one
+    ``drift_samples(b, grid)``: a caller pairing many stacks with one
     b samples it once.
     """
     if w.shape != b.shape or w.shape[1:] != (grid.d,) + grid.shape:
         raise GridError(
             f"drift_terms needs two (N, {grid.d}) + {grid.shape} stacks, "
             f"got {w.shape} and {b.shape}")
-    rows = chunk_rows((2 * grid.d,) + grid.shape, grid, real, 2)
+    rows = chunk_rows((2 * grid.d,) + grid.shape, grid)
     out = np.empty((len(w),) + grid.shape, dtype=complex)
     for lo in range(0, len(w), rows):
-        prod = _padded_samples(w[lo:lo + rows], grid, real, 2)
+        prod = _padded_samples(w[lo:lo + rows], grid, 2)
         if b_samples is None:
-            prod *= _padded_samples(b[lo:lo + rows], grid, real, 2)
+            prod *= _padded_samples(b[lo:lo + rows], grid, 2)
         else:
             prod *= b_samples[lo:lo + rows]
         out[lo:lo + rows] = _truncate_to_grid(prod.sum(axis=1), grid)
@@ -183,7 +180,5 @@ def drift_term(w: SpectralField, b: SpectralField) -> SpectralField:
     """
     if w.grid != b.grid:
         raise GridError("drift_term: fields on different grids")
-    real = w.real and b.real
     return SpectralField(
-        w.grid, drift_terms(w.coeffs[None], b.coeffs[None], w.grid, real)[0],
-        real=real)
+        w.grid, drift_terms(w.coeffs[None], b.coeffs[None], w.grid)[0])

@@ -265,13 +265,12 @@ class SolveResult:
         Affine slopes travel in the manifest; the field files hold the
         periodic parts in the shared binary format.
         """
-        from .grid import save_field
+        from .grid import save_fields
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         v = self.v
         files = [directory / f"slice_{m:05d}.field" for m in range(len(v))]
-        for path, coeffs in zip(files, v.coeffs):
-            save_field(path, SpectralField(v.grid, coeffs, real=v.real))
+        save_fields(files, v.grid, v.coeffs)
         meta = self.manifest(config)
         meta["slice_files"] = [path.name for path in files]
         meta["affine_slopes"] = _slopes_of(v).tolist()
@@ -323,7 +322,7 @@ def path_besov_norm(tf: TimeField, gamma: float, part: DyadicPartition,
     c = tf.coeffs
     again = np.all(c[1:] == c[:-1], axis=tuple(range(1, c.ndim)))
     rows = c[np.concatenate([[True], ~again])]
-    norm = float(np.max(besov_norms(rows, gamma, part, tf.real)))
+    norm = float(np.max(besov_norms(rows, gamma, part)))
     if not math.isfinite(norm):
         raise SolverError(f"{name} norm in C^{gamma:g} is not finite ({norm})")
     return norm
@@ -394,10 +393,10 @@ def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
     """The Duhamel operator on coefficient stacks, set up once per solve.
 
     Returns ``(integrand, image, march)``.  For an iterate with periodic
-    coefficients ``p``, slopes ``s`` and real flag ``real``,
-    ``integrand(p, s, real)`` is the node stack q of the time integrand:
-    the pairing of slope + grad p with b, less lam p unless
-    ``lambda_kernel`` moves the lam-term into the kernel, less g.
+    coefficients ``p`` and slopes ``s``, ``integrand(p, s)`` is the node
+    stack q of the time integrand: the pairing of slope + grad p with b,
+    less lam p unless ``lambda_kernel`` moves the lam-term into the
+    kernel, less g.
     ``image(q)`` is the periodic part of T(v): P_(T-t) v_T plus the swept
     integral of q.  The slopes of T(v) are ``_slopes`` and need no iterate.
 
@@ -418,7 +417,7 @@ def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
     with ``history`` as its ratios.
     """
     g = data.grid
-    b, real_b, source = data.b.coeffs, data.b.real, data.g.coeffs
+    b, source = data.b.coeffs, data.g.coeffs
     tails = cfg.T - data.b.t_grid
     mu = 0.5 * g.k_squared()
     if lambda_kernel:
@@ -427,8 +426,8 @@ def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
                      for tail in tails])
     weights = _sweep_weights(mu, cfg.dt)
 
-    def integrand(p, s, real):
-        q = drift_terms(gradient_stack(p, g, s), b, g, real and real_b)
+    def integrand(p, s):
+        q = drift_terms(gradient_stack(p, g, s), b, g)
         if not lambda_kernel:
             q = q - cfg.lam * p
         return q - source
@@ -437,11 +436,10 @@ def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
         return free + _duhamel_sweep(q, weights)
 
     slopes = _slopes(data, cfg)
-    real_v = data.v_T.periodic.real and real_b
 
     def node_integrand(m, x, samples):
         w = gradient_stack(x[None], g, slopes[m:m + 1])
-        q = drift_terms(w, b[m:m + 1], g, real_v, b_samples=samples)[0]
+        q = drift_terms(w, b[m:m + 1], g, b_samples=samples)[0]
         if not lambda_kernel:
             q = q - cfg.lam * x
         return q - source[m]
@@ -451,12 +449,12 @@ def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
         floor = 8.0 * np.finfo(float).eps
         v = np.empty_like(free)
         v[-1] = free[-1]
-        samples = drift_samples(b[-1:], g, real_v)
+        samples = drift_samples(b[-1:], g)
         steps = 0
         q_after = None
         for m in range(len(v) - 2, -1, -1):
             q_next = node_integrand(m + 1, v[m + 1], samples)
-            samples = drift_samples(b[m:m + 1], g, real_v)
+            samples = drift_samples(b[m:m + 1], g)
             c = decay * v[m + 1] + w_right * q_next
             # q_m extrapolated linearly from the two nodes after m: about
             # 15% fewer local steps than the predictor q_m ~ q_(m+1)
@@ -504,9 +502,9 @@ def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
         lambda_kernel = cfg.uses_lambda_kernel()
     _check_mesh(v, data, cfg)
     integrand, image, _ = _operator(data, cfg, lambda_kernel)
-    p = image(integrand(v.coeffs, _slopes_of(v), v.real))
+    p = image(integrand(v.coeffs, _slopes_of(v)))
     return TimeField.from_stacks(data.b.t_grid, data.grid, p,
-                                 _slopes(data, cfg), data.v_T.periodic.real)
+                                 _slopes(data, cfg))
 
 
 def _quad_tolerance_from_nodes(q_nodes: np.ndarray, grid, T: float,
@@ -557,20 +555,19 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     use_kernel = cfg.uses_lambda_kernel()
     integrand, image, march = _operator(data, cfg, use_kernel)
     slopes = _slopes(data, cfg)
-    real_T = data.v_T.periodic.real
 
-    def increment_norms(dp, ds, real):
+    def increment_norms(dp, ds):
         if kind == "dc":
-            return dc_norms(ds, dp, cfg.alpha, part, real)
-        return c1plus_norms(dp, cfg.alpha, part, real)
+            return dc_norms(ds, dp, cfg.alpha, part)
+        return c1plus_norms(dp, cfg.alpha, part)
 
     if v0 is None:
         _check_mesh(data.b, data, cfg)
         p = np.zeros((cfg.M + 1,) + data.grid.shape, dtype=complex)
-        s, real = np.zeros_like(slopes), True
+        s = np.zeros_like(slopes)
     else:
         _check_mesh(v0, data, cfg)
-        p, s, real = v0.coeffs, _slopes_of(v0), v0.real
+        p, s = v0.coeffs, _slopes_of(v0)
     ratios = []
     ratios_raw = []
     prev_log = None
@@ -581,8 +578,8 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     iterations = 0
     march_steps = 0
     for iterations in range(1, cfg.max_iter + 1):
-        p_next = image(integrand(p, s, real))
-        norms = increment_norms(p_next - p, slopes - s, real and real_T)
+        p_next = image(integrand(p, s))
+        norms = increment_norms(p_next - p, slopes - s)
         sup_inc = float(norms.max())
         if not math.isfinite(sup_inc):
             raise PicardError(
@@ -614,14 +611,14 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
                     f"(last ratio {raw:.3e}); the iteration diverges",
                     ratios_raw)
         prev_log = weighted_log
-        p, s, real = p_next, slopes, real_T
+        p, s = p_next, slopes
         if sup_inc <= cfg.tol_fix:
-            q = integrand(p, s, real)
+            q = integrand(p, s)
             break
         if len(ratios) >= CERTIFICATE_RATIOS:
             p, march_steps = march(cfg.max_iter, ratios_raw)
-            q = integrand(p, s, real)
-            norms = increment_norms(image(q) - p, slopes - s, real)
+            q = integrand(p, s)
+            norms = increment_norms(image(q) - p, slopes - s)
             sup_inc = float(norms.max())
             weighted_log = rho_time_norm_log(norms, data.b.t_grid, rho)
             if not sup_inc <= cfg.tol_fix:
@@ -641,7 +638,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
                        else 0.0)
     # no ratio above the rounding floor: every increment sat at it
     q_max = max(ratios, default=0.0)
-    v = TimeField.from_stacks(data.b.t_grid, data.grid, p, s, real_T)
+    v = TimeField.from_stacks(data.b.t_grid, data.grid, p, s)
     result = SolveResult(
         v=v,
         iterations=iterations,
@@ -672,8 +669,7 @@ def solve_u(b: TimeField, i: int, cfg: SolverConfig,
     if cfg.lam <= 0:
         raise SolverError("solve_u needs lam > 0")
     g = b.grid
-    neg_bi = TimeField.from_stacks(b.t_grid, g, b.coeffs[:, i] * -1.0,
-                                   real=b.real)
+    neg_bi = TimeField.from_stacks(b.t_grid, g, b.coeffs[:, i] * -1.0)
     data = PDEData(b=b, g=neg_bi, v_T=SpectralField.zero(g))
     return solve_mild(data, cfg, part=part, **kwargs)
 
@@ -732,8 +728,7 @@ def build_phi(b: TimeField, cfg: SolverConfig, part: DyadicPartition = None,
         corollary = 0.0
         id_cfg = replace(cfg, lam=0.0, rho=1.0)
         for i in range(g.d):
-            b_i = TimeField.from_stacks(b.t_grid, g, b.coeffs[:, i],
-                                        real=b.real)
+            b_i = TimeField.from_stacks(b.t_grid, g, b.coeffs[:, i])
             data = PDEData(b=b, g=b_i, v_T=identity_component(g, i))
             v_id = TimeField(b.t_grid,
                              [identity_component(g, i)] * len(b.t_grid))
@@ -761,7 +756,7 @@ def invert_phi(phi: TimeField, t: float, y, tol: float = 1e-12,
     # (component, axis); identity for phi
     slope = (1 - w) * phi.slopes[m] + w * phi.slopes[m + 1]
     u = SpectralField(phi.grid, (1 - w) * phi.coeffs[m]
-                      + w * phi.coeffs[m + 1], real=phi.real)
+                      + w * phi.coeffs[m + 1])
     du = gradient(u)       # entries (axis, component) = d_axis u_comp
     x = y.copy()
     for step in range(max_steps):
@@ -824,13 +819,12 @@ def weak_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     if test_set is None:
         test_set = default_test_fields(grid)
     h = float(v.t_grid[1] - v.t_grid[0])
-    p, slopes, real = v.coeffs, _slopes_of(v), v.real
-    b, real_b = data.b.coeffs, data.b.real
+    p, slopes, b = v.coeffs, _slopes_of(v), data.b.coeffs
     # np.max, not the builtin max: a NaN slope must show
     affine_res = float(np.max(np.abs(slopes - _slopes(data, cfg))))
 
     # node stacks of the periodic weak-form integrand
-    drift = drift_terms(gradient_stack(p, grid), b, grid, real and real_b)
+    drift = drift_terms(gradient_stack(p, grid), b, grid)
     source = data.g.coeffs - np.einsum("md,md...->m...", slopes, b)
     k2 = grid.k_squared()
     volume = grid.L**grid.d
@@ -873,7 +867,7 @@ def mild_residual(v: TimeField, data: PDEData, cfg: SolverConfig,
     independent check of the integral equation satisfied by the solution.
     """
     image = apply_T(v, data, cfg, part=part, lambda_kernel=lambda_kernel)
-    sups = sup_norms(v.coeffs - image.coeffs, data.grid, v.real and image.real)
+    sups = sup_norms(v.coeffs - image.coeffs, data.grid)
     gaps = np.abs(_slopes_of(v) - image.slopes).max(axis=1)
     # np.max, not the builtin max: a NaN slice must make the residual NaN
     return float(np.max([sups, gaps]))
@@ -896,7 +890,7 @@ def rlambda_bound_check(data: PDEData, cfg: SolverConfig, c_cal: float,
     if result is None:
         result = solve_mild(data, cfg, part=part, compute_weak_residual=False)
     v = result.v
-    lhs = float(np.max(c1plus_norms(v.coeffs, cfg.alpha, part, v.real)))
+    lhs = float(np.max(c1plus_norms(v.coeffs, cfg.alpha, part)))
     b_norm = path_besov_norm(data.b, -cfg.beta, part, "drift")
     g_norm = path_besov_norm(data.g, -cfg.beta, part, "source")
     vt_norm = c1plus_norm(data.v_T.periodic, cfg.alpha, part)

@@ -8,6 +8,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from besovpde import TorusGrid, dyadic_partition
 
+# numpy warns with ComplexWarning when an imaginary part is dropped in a
+# cast to a real dtype; fields are real, so that is a defect.  The class
+# lives in numpy.exceptions from numpy 1.25 and in numpy itself before.
+_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "filterwarnings",
+        f"error::{_COMPLEX_WARNING.__module__}.{_COMPLEX_WARNING.__name__}")
+
 
 @pytest.fixture(scope="session")
 def grid64():

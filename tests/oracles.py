@@ -47,7 +47,7 @@ from besovpde.solver import (
 
 def refined_samples(f, refine):
     """Samples of one field on the ``refine``-times finer grid."""
-    return _padded_samples(f.coeffs, f.grid, f.real, refine)
+    return _padded_samples(f.coeffs, f.grid, refine)
 
 
 def naive_dft_1d(samples):
@@ -188,13 +188,13 @@ def mol_reference_1d(v_T_samples, b_samples_fn, g_samples_fn, lam, L, T,
 # refined-grid samples through the complex transform
 
 
-def complex_padded_samples(coeffs, grid, real, refine):
+def complex_padded_samples(coeffs, grid, refine):
     """``grid._padded_samples`` through one complex inverse transform.
 
     Package code: the whole zero-padded spectrum (every axis embedded,
-    Nyquist split) goes through ``ifftn``, and real fields keep the real
-    part.  This is the path the real-to-complex kernel replaced for real
-    fields; it needs no Hermitian symmetry of its input.
+    Nyquist split) goes through ``ifftn``, and the real part is kept.
+    This is the path the real-to-complex kernel replaced; it needs no
+    Hermitian symmetry of its input.
     """
     n, d = grid.n, grid.d
     fine_n = refine * n
@@ -203,8 +203,7 @@ def complex_padded_samples(coeffs, grid, real, refine):
         for ax in range(d):
             pad = _embed_axis(pad, pad.ndim - d + ax, n, fine_n)
     vals = np.fft.ifftn(pad, axes=tuple(range(pad.ndim - d, pad.ndim)))
-    vals = vals * fine_n**d
-    return vals.real if real else vals
+    return (vals * fine_n**d).real
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +248,7 @@ def per_block_sup_norms(f, part, refine=2):
     """
     return np.array([
         _sup_of_samples(
-            refined_samples(SpectralField(f.grid, f.coeffs * w, real=f.real),
-                            refine),
+            refined_samples(SpectralField(f.grid, f.coeffs * w), refine),
             f.comp_shape, f.grid.d)
         for w in part.windows])
 
@@ -262,20 +260,18 @@ def _affine(s):
 
 
 def pack(tf):
-    """A path's ``(M+1,) + comp + grid`` periodic coefficients, its slopes
-    (zero at periodic nodes) and whether every node is real, read node by
-    node from ``tf.slices``."""
+    """A path's ``(M+1,) + comp + grid`` periodic coefficients and its
+    slopes (zero at periodic nodes), read node by node from ``tf.slices``."""
     slices = [_affine(s) for s in tf.slices]
     return (np.array([s.periodic.coeffs for s in slices]),
-            np.array([s.slope for s in slices]),
-            all(s.periodic.real for s in slices))
+            np.array([s.slope for s in slices]))
 
 
-def unpack(t_grid, grid, coeffs, slopes, real):
+def unpack(t_grid, grid, coeffs, slopes):
     """The path of affine nodes with these periodic coefficients and slopes,
     built as a list of per-node fields."""
     return TimeField(t_grid, [
-        AffinePeriodicField(s, SpectralField(grid, c, real=real))
+        AffinePeriodicField(s, SpectralField(grid, c))
         for s, c in zip(slopes, coeffs)])
 
 
@@ -296,23 +292,22 @@ def _increment_norm(delta, kind, alpha, part):
     return origin + float(np.max(2.0 ** (part.j_indices * alpha) * sups))
 
 
-def per_slice_dc_norms(slopes, coeffs, alpha, part, real=True):
+def per_slice_dc_norms(slopes, coeffs, alpha, part):
     """``lp.dc_norms`` one field at a time, through ``_increment_norm``.
 
     The per-slice loop the solver's stacked increment norms replaced.
     """
     return np.array([
-        _increment_norm(AffinePeriodicField(s, SpectralField(part.grid, c,
-                                                             real=real)),
+        _increment_norm(AffinePeriodicField(s, SpectralField(part.grid, c)),
                         "dc", alpha, part)
         for s, c in zip(slopes, coeffs)])
 
 
-def per_slice_c1plus_norms(coeffs, alpha, part, real=True):
+def per_slice_c1plus_norms(coeffs, alpha, part):
     """``lp.c1plus_norms`` one field at a time, through ``_increment_norm``."""
     return np.array([
         _increment_norm(AffinePeriodicField.from_periodic(
-            SpectralField(part.grid, c, real=real)), "c1plus", alpha, part)
+            SpectralField(part.grid, c)), "c1plus", alpha, part)
         for c in coeffs])
 
 
@@ -345,15 +340,14 @@ def node_drift_term(w, b):
     single-field pairing the stacked ``paraproduct.drift_terms`` replaced.
     """
     prod = np.sum(refined_samples(w, 2) * refined_samples(b, 2), axis=0)
-    return SpectralField(w.grid, _truncate_one(prod, w.grid),
-                         real=not np.iscomplexobj(prod))
+    return SpectralField(w.grid, _truncate_one(prod, w.grid))
 
 
-def per_node_drift_terms(w, b, grid, real=True, b_samples=None):
+def per_node_drift_terms(w, b, grid, b_samples=None):
     """``paraproduct.drift_terms`` as a loop of ``node_drift_term``; it
     samples b itself, so ``b_samples`` is ignored."""
-    return np.array([node_drift_term(SpectralField(grid, wi, real=real),
-                                     SpectralField(grid, bi, real=real)).coeffs
+    return np.array([node_drift_term(SpectralField(grid, wi),
+                                     SpectralField(grid, bi)).coeffs
                      for wi, bi in zip(w, b)])
 
 
@@ -402,7 +396,7 @@ def per_node_apply_T(v, data, cfg, lambda_kernel=None):
         coeffs = np.exp(-mu * tail) * v_T.periodic.coeffs + integrals[m]
         out.append(AffinePeriodicField(
             v_T.slope * math.exp(-cfg.lam * tail),
-            SpectralField(g, coeffs, real=v_T.periodic.real)))
+            SpectralField(g, coeffs)))
     return TimeField(v.t_grid, out)
 
 
@@ -512,15 +506,14 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
     use_kernel = cfg.uses_lambda_kernel()
     integrand, image, _ = _operator(data, cfg, use_kernel)
     slopes = _slopes(data, cfg)
-    real_T = data.v_T.periodic.real
 
     if v0 is None:
         _check_mesh(data.b, data, cfg)
         p = np.zeros((cfg.M + 1,) + data.grid.shape, dtype=complex)
-        s, real = np.zeros_like(slopes), True
+        s = np.zeros_like(slopes)
     else:
         _check_mesh(v0, data, cfg)
-        p, s, real = pack(v0)
+        p, s = pack(v0)
     ratios = []
     ratios_raw = []
     prev_log = None
@@ -530,12 +523,11 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
     sup_inc = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        p_next = image(integrand(p, s, real))
+        p_next = image(integrand(p, s))
         if kind == "dc":
-            norms = dc_norms(slopes - s, p_next - p, cfg.alpha, part,
-                             real and real_T)
+            norms = dc_norms(slopes - s, p_next - p, cfg.alpha, part)
         else:
-            norms = c1plus_norms(p_next - p, cfg.alpha, part, real and real_T)
+            norms = c1plus_norms(p_next - p, cfg.alpha, part)
         sup_inc = float(norms.max())
         if not math.isfinite(sup_inc):
             raise PicardError(
@@ -564,7 +556,7 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
                     f"(last ratio {raw:.3e}); the iteration diverges",
                     ratios_raw)
         prev_log = weighted_log
-        p, s, real = p_next, slopes, real_T
+        p, s = p_next, slopes
         if sup_inc <= cfg.tol_fix:
             break
     else:
@@ -572,9 +564,9 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
             f"no convergence in {cfg.max_iter} iterations "
             f"(last increment {sup_inc:.3e})", ratios_raw)
 
-    quad_tol = _quad_tolerance_from_nodes(integrand(p, s, real), data.grid,
+    quad_tol = _quad_tolerance_from_nodes(integrand(p, s), data.grid,
                                           cfg.T, cfg.tol_fix)
-    v = unpack(data.b.t_grid, data.grid, p, s, data.v_T.periodic.real)
+    v = unpack(data.b.t_grid, data.grid, p, s)
     result = SolveResult(
         v=v,
         iterations=iterations,

@@ -17,7 +17,7 @@ from besovpde import (
     save_field,
     to_fourier,
 )
-from besovpde.grid import _padded_samples, gradient_stack
+from besovpde.grid import _padded_samples, gradient_stack, save_fields
 from oracles import complex_padded_samples, naive_dft_1d
 
 
@@ -59,6 +59,14 @@ def test_hermitian_symmetry_for_real_fields(grid64, rng):
     c = f.coeffs
     flipped = np.conj(np.roll(c[::-1], 1))
     assert np.abs(c - flipped).max() < 1e-12 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_to_fourier_rejects_complex_samples(grid64, dtype):
+    samples = np.zeros(grid64.shape, dtype=dtype)
+    with pytest.raises(GridError,
+                       match=f"samples must be real, got {np.dtype(dtype)}"):
+        to_fourier(samples, grid64)
 
 
 def test_dimension_mismatch_names_axis(grid64):
@@ -145,13 +153,17 @@ def test_evaluate_affine_part(grid64):
 
 
 def test_evaluate_single_mode_off_grid():
+    # a Hermitian pair of modes +-5: the cosine cos(k x + theta), whose
+    # phase tells exp(i k x) from exp(-i k x)
     grid = TorusGrid(d=1, n=64)
+    theta = 0.3
     coeffs = np.zeros(grid.shape, dtype=complex)
-    coeffs[5] = 1.0
-    f = SpectralField(grid, coeffs, real=False)
+    coeffs[5] = 0.5 * np.exp(1j * theta)
+    coeffs[-5] = 0.5 * np.exp(-1j * theta)
+    f = SpectralField(grid, coeffs)
     x = 0.7321
     k = 5 * 2 * np.pi / grid.L
-    assert abs(evaluate_at(f, [x]) - np.exp(1j * k * x)) < 1e-12
+    assert abs(evaluate_at(f, [x]) - np.cos(k * x + theta)) < 1e-12
 
 
 def test_evaluate_reproduces_grid_samples(grid64, rng):
@@ -176,6 +188,26 @@ def test_field_file_round_trip(tmp_path, grid2d, rng):
     assert '"layout": "rowmajor-float64-le"' in header
 
 
+@pytest.mark.parametrize("d, n, rows, vector", [
+    (1, 128, 65, False), (1, 128, 65, True), (2, 32, 33, False),
+    (2, 32, 33, True), (3, 16, 17, False)])
+def test_save_fields_writes_the_bytes_of_per_node_save_field(tmp_path, d, n,
+                                                             rows, vector):
+    # one batched inverse transform of the stack against one save_field
+    # (one transform) per row, at the benchmark sizes: identical files
+    grid = TorusGrid(d=d, n=n)
+    shape = (rows,) + ((d,) if vector else ()) + grid.shape
+    axes = tuple(range(len(shape) - d, len(shape)))
+    rng = np.random.default_rng(d * n)
+    coeffs = np.fft.fftn(rng.standard_normal(shape), axes=axes) / n**d
+    batched = [tmp_path / f"batched_{m}.field" for m in range(rows)]
+    save_fields(batched, grid, coeffs)
+    for m, c in enumerate(coeffs):
+        single = tmp_path / f"single_{m}.field"
+        save_field(single, SpectralField(grid, c))
+        assert batched[m].read_bytes() == single.read_bytes(), m
+
+
 def test_timefield_invariants(grid64):
     f = SpectralField.zero(grid64)
     with pytest.raises(GridError):
@@ -195,28 +227,25 @@ def test_timefield_invariants(grid64):
 
 @pytest.mark.parametrize("affine", [False, True])
 @pytest.mark.parametrize("comp", [(), (2,)])
-@pytest.mark.parametrize("real", [True, False])
-def test_timefield_round_trips_its_slices_exactly(affine, comp, real, rng):
+def test_timefield_round_trips_its_slices_exactly(affine, comp, rng):
     # per-node slices -> one coefficient stack and one slope stack -> slices
     grid = TorusGrid(d=2, n=8)
     slices = []
     for _ in range(5):
-        shape = comp + grid.shape
-        s = SpectralField(grid, rng.standard_normal(shape)
-                          + 1j * rng.standard_normal(shape), real=real)
+        s = to_fourier(rng.standard_normal(comp + grid.shape), grid)
         if affine:
             s = AffinePeriodicField(rng.standard_normal(comp + (2,)), s)
         slices.append(s)
     tf = TimeField(TimeField.uniform_mesh(1.0, 4), slices)
     assert tf.coeffs.shape == (5,) + comp + grid.shape
     assert (tf.slopes is None) == (not affine)
-    assert tf.real == real and tf.comp_shape == comp
+    assert tf.comp_shape == comp
     for m, (a, b) in enumerate(zip(slices, tf.slices)):
         assert type(b) is type(a)
         pa = a.periodic if affine else a
         pb = b.periodic if affine else b
         assert np.array_equal(pb.coeffs, pa.coeffs)
-        assert pb.real == pa.real and pb.comp_shape == pa.comp_shape
+        assert pb.comp_shape == pa.comp_shape
         assert np.shares_memory(pb.coeffs, tf.coeffs)   # a view, not a copy
         if affine:
             assert np.array_equal(b.slope, a.slope)
@@ -274,10 +303,7 @@ def test_padded_samples_match_complex_transform(dn, kind, vector, rows,
     # the whole padded spectrum; tolerance 1e-14 * (1 + max|oracle|)
     grid = TorusGrid(d=dn[0], n=dn[1])
     coeffs = _package_stack(grid, kind, vector, rows, seed)
-    fast = _padded_samples(coeffs, grid, True, refine)
-    slow = complex_padded_samples(coeffs, grid, True, refine)
+    fast = _padded_samples(coeffs, grid, refine)
+    slow = complex_padded_samples(coeffs, grid, refine)
     assert fast.dtype == np.float64 and fast.shape == slow.shape
     assert np.abs(fast - slow).max() <= 1e-14 * (1.0 + np.abs(slow).max())
-    # complex stacks still take the complex transform: same arithmetic
-    assert np.array_equal(_padded_samples(coeffs, grid, False, refine),
-                          complex_padded_samples(coeffs, grid, False, refine))

@@ -58,8 +58,8 @@ def test_constant_lives_in_low_block(grid64, part64):
 def test_single_mode_support_blocks(grid256, part256):
     # ring radius 2 is covered by exactly the windows of blocks 0 and 1
     coeffs = np.zeros(grid256.shape, dtype=complex)
-    coeffs[2] = 1.0
-    f = SpectralField(grid256, coeffs, real=False)
+    coeffs[[2, -2]] = 1.0  # 2 cos(2x)
+    f = SpectralField(grid256, coeffs)
     dec = lp_blocks(f, part256)
     nonzero = [int(j) for j, b in zip(part256.j_indices, dec.blocks)
                if b.sup_norm() > 1e-13]
@@ -72,42 +72,40 @@ def test_block_sum_reconstructs(grid128, part128, rng):
     assert (rec - f).sup_norm() < 1e-12 * max(f.sup_norm(), 1.0)
 
 
-def _random_stack(grid, comp_shape, real, rows, seed):
-    """(rows,) + comp_shape + grid coefficients of random fields."""
+def _random_stack(grid, comp_shape, rows, seed):
+    """(rows,) + comp_shape + grid coefficients of random real fields."""
     rng = np.random.default_rng(seed)
     shape = (rows,) + comp_shape + grid.shape
-    if real:
-        axes = tuple(range(len(shape) - grid.d, len(shape)))
-        return np.fft.fftn(rng.standard_normal(shape), axes=axes) / grid.n**grid.d
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(len(shape) - grid.d, len(shape)))
+    return np.fft.fftn(rng.standard_normal(shape), axes=axes) / grid.n**grid.d
 
 
 @settings(max_examples=30, deadline=None)
 @given(dn=st.sampled_from([(1, 8), (1, 64), (2, 8), (2, 16), (3, 8)]),
-       vector=st.booleans(), real=st.booleans(),
-       rows=st.integers(1, 7), seed=st.integers(0, 10_000))
-def test_block_sup_stack_equals_per_block_loop(dn, vector, real, rows, seed):
+       vector=st.booleans(), rows=st.integers(1, 7),
+       seed=st.integers(0, 10_000))
+def test_block_sup_stack_equals_per_block_loop(dn, vector, rows, seed):
     # the stacked, chunked kernel against one field and one block at a
     # time; same arithmetic per entry, so the tolerance is exact equality
     d, n = dn
     grid = TorusGrid(d=d, n=n)
     part = dyadic_partition(grid)
     comp_shape = (d,) if vector else ()
-    coeffs = _random_stack(grid, comp_shape, real, rows, seed)
-    fields = [SpectralField(grid, c, real=real) for c in coeffs]
+    coeffs = _random_stack(grid, comp_shape, rows, seed)
+    fields = [SpectralField(grid, c) for c in coeffs]
     expected = np.array([per_block_sup_norms(f, part) for f in fields])
-    assert np.array_equal(block_sup_stack(coeffs, part, real), expected)
-    assert np.array_equal(sup_norms(coeffs, grid, real),
+    assert np.array_equal(block_sup_stack(coeffs, part), expected)
+    assert np.array_equal(sup_norms(coeffs, grid),
                           np.array([f.sup_norm() for f in fields]))
 
 
 def test_block_sup_stack_stays_within_chunk_budget(monkeypatch):
     # the refined samples of every batch the kernel transforms fit in
     # CHUNK_BYTES, and the batches together cover every (node, block) pair
-    # once; real stacks go through the real inverse transform
+    # once; every batch goes through the real inverse transform
     grid = TorusGrid(d=2, n=16)
     part = dyadic_partition(grid)
-    coeffs = _random_stack(grid, (2,), True, 33, seed=4)
+    coeffs = _random_stack(grid, (2,), 33, seed=4)
     outputs = []
     irfftn = np.fft.irfftn
 
@@ -125,19 +123,18 @@ def test_block_sup_stack_stays_within_chunk_budget(monkeypatch):
     assert all(shape[1:] == (2, 32, 32) for shape in outputs)
 
 
-@pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
-def test_dc_norms_origin_is_the_coefficient_sum(d, n, real):
+def test_dc_norms_origin_is_the_coefficient_sum(d, n):
     # f_i(0) as one stacked sum of coefficients against evaluate_at one
     # field at a time; tolerance 1e-13 * (1 + |value|)
     grid = TorusGrid(d=d, n=n)
     part = dyadic_partition(grid)
-    coeffs = _random_stack(grid, (), real, 5, seed=d)
+    coeffs = _random_stack(grid, (), 5, seed=d)
     slopes = np.random.default_rng(d).standard_normal((5, d))
-    values = dc_norms(slopes, coeffs, 0.4, part, real)
-    grads = besov_norms(gradient_stack(coeffs, grid, slopes), 0.4, part, real)
+    values = dc_norms(slopes, coeffs, 0.4, part)
+    grads = besov_norms(gradient_stack(coeffs, grid, slopes), 0.4, part)
     for value, grad, slope, c in zip(values, grads, slopes, coeffs):
-        f = AffinePeriodicField(slope, SpectralField(grid, c, real=real))
+        f = AffinePeriodicField(slope, SpectralField(grid, c))
         expected = float(np.abs(evaluate_at(f, np.zeros(d)))) + grad
         assert abs(value - expected) <= 1e-13 * (1.0 + abs(value))
 

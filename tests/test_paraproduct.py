@@ -131,29 +131,26 @@ def test_drift_term_matches_grid_dot_product(grid2d, rng):
 
 
 # grids on which a handful of rows spans several chunks of the pairing:
-# 4 real or 2 complex rows a chunk in 1D and 2D, 1 in 3D
+# 4 rows a chunk in 1D and 2D, 1 in 3D
 _CHUNKED_GRIDS = {1: TorusGrid(d=1, n=1024), 2: TorusGrid(d=2, n=16),
                   3: TorusGrid(d=3, n=8)}
 
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), rows=st.integers(1, 7),
-       real=st.booleans(), seed=st.integers(0, 10_000))
-def test_drift_terms_match_per_node_loop(d, rows, real, seed):
+       seed=st.integers(0, 10_000))
+def test_drift_terms_match_per_node_loop(d, rows, seed):
     # the stacked, chunked pairing against the per-node drift_term loop it
     # replaced; tolerance: exact equality
     grid = _CHUNKED_GRIDS[d]
-    chunk = {1: 4, 2: 4, 3: 1}[d] if real else {1: 2, 2: 2, 3: 1}[d]
+    chunk = {1: 4, 2: 4, 3: 1}[d]
     rng = np.random.default_rng(seed)
     shape = (rows, d) + grid.shape
-    if real:   # Hermitian coefficients: transforms of real samples
-        w, b = (np.fft.fftn(rng.standard_normal(shape),
-                            axes=tuple(range(2, 2 + d))) / grid.n**d
-                for _ in range(2))
-    else:
-        w, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                for _ in range(2))
-    oracle = per_node_drift_terms(w, b, grid, real)
+    # Hermitian coefficients: transforms of real samples
+    w, b = (np.fft.fftn(rng.standard_normal(shape),
+                        axes=tuple(range(2, 2 + d))) / grid.n**d
+            for _ in range(2))
+    oracle = per_node_drift_terms(w, b, grid)
     sizes = []
 
     def spy(coeffs, *args):
@@ -161,7 +158,7 @@ def test_drift_terms_match_per_node_loop(d, rows, real, seed):
         return _padded_samples(coeffs, *args)
 
     with mock.patch.object(paraproduct, "_padded_samples", spy):
-        fast = drift_terms(w, b, grid, real)
+        fast = drift_terms(w, b, grid)
     assert sizes == [n for n in [chunk] * (rows // chunk) + [rows % chunk]
                      if n for _ in range(2)]
     assert np.array_equal(fast, oracle)

@@ -80,8 +80,8 @@ def make_data(grid, mesh, b=None, g=None, v_T=None):
 def coefficient_gap(res, ref):
     """Largest periodic-coefficient gap between two solves, relative to
     the reference's largest coefficient; their slopes must agree exactly."""
-    p, slopes, _ = pack(res.v)
-    p_ref, slopes_ref, _ = pack(ref.v)
+    p, slopes = pack(res.v)
+    p_ref, slopes_ref = pack(ref.v)
     assert np.array_equal(slopes, slopes_ref)
     return float(np.abs(p - p_ref).max() / np.abs(p_ref).max())
 
@@ -97,7 +97,7 @@ def nan_in_slice(tf, m=2):
     periodic = s.periodic if isinstance(s, AffinePeriodicField) else s
     coeffs = periodic.coeffs.copy()
     coeffs[(...,) + (3,) * periodic.grid.d] = np.nan
-    poisoned = SpectralField(periodic.grid, coeffs, real=periodic.real)
+    poisoned = SpectralField(periodic.grid, coeffs)
     if isinstance(s, AffinePeriodicField):
         poisoned = AffinePeriodicField(s.slope, poisoned)
     slices[m] = poisoned
@@ -651,13 +651,12 @@ def test_march_matches_the_picard_oracle(grid64, part64, case, lam, kernel):
 
 def mild_increment(res, data, cfg, part):
     """max over the nodes of ||T(v) - v|| in the solve's increment norm."""
-    p, slopes, real = pack(res.v)
-    q, _, real_q = pack(apply_T(res.v, data, cfg, part))
+    p, slopes = pack(res.v)
+    q, _ = pack(apply_T(res.v, data, cfg, part))
     if res.norm_kind == "dc":
-        norms = solver.dc_norms(np.zeros_like(slopes), q - p, cfg.alpha,
-                                part, real and real_q)
+        norms = solver.dc_norms(np.zeros_like(slopes), q - p, cfg.alpha, part)
     else:
-        norms = solver.c1plus_norms(q - p, cfg.alpha, part, real and real_q)
+        norms = solver.c1plus_norms(q - p, cfg.alpha, part)
     return float(norms.max())
 
 
@@ -703,8 +702,8 @@ def test_march_non_finite_node_is_named(grid64, part64, monkeypatch):
                        rho=8.0)
     pairing = solver.drift_terms
 
-    def poisoned(w, b, grid, real, b_samples=None):
-        out = pairing(w, b, grid, real, b_samples=b_samples)
+    def poisoned(w, b, grid, b_samples=None):
+        out = pairing(w, b, grid, b_samples=b_samples)
         return out if b_samples is None else out * np.nan
 
     monkeypatch.setattr(solver, "drift_terms", poisoned)
@@ -731,7 +730,6 @@ def test_apply_T_matches_per_node_operator(grid64, part64, case, kernel):
     for a, b in zip(fast.slices, slow.slices):
         assert np.array_equal(a.periodic.coeffs, b.periodic.coeffs)
         assert np.array_equal(a.slope, b.slope)
-        assert a.periodic.real == b.periodic.real
 
 
 @pytest.mark.parametrize("case", ["affine-1d", "bounded-2d"])
@@ -816,9 +814,9 @@ def test_solve_with_bony_sum_pairing_agrees(grid64, part64, monkeypatch):
     data = make_data(grid64, mesh, b=TimeField(mesh, [b0] * (M + 1)), v_T=v_T)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=0.0, rho=8.0)
     fast = solve_mild(data, cfg, part=part64, compute_weak_residual=False)
-    def bony_rows(w, b, grid, real, b_samples=None):
+    def bony_rows(w, b, grid, b_samples=None):
         return np.array([bony_drift_pairing(
-            SpectralField(grid, wi, real=real), SpectralField(grid, bi, real=real),
+            SpectralField(grid, wi), SpectralField(grid, bi),
             cfg.alpha, cfg.beta, part64).coeffs for wi, bi in zip(w, b)])
 
     monkeypatch.setattr(solver, "drift_terms", bony_rows)
