@@ -322,7 +322,7 @@ def cmd_solve(conf, args, out: Path):
 def _certificate(result) -> dict:
     """A solve's iteration counts and its fixed-point certificate."""
     return {"iterations": result.iterations, "rho": result.rho,
-            "march_steps": result.march_steps,
+            "march": result.march, "march_steps": result.march_steps,
             "final_increment_sup": result.final_increment_sup,
             "error_bound": result.error_bound}
 
@@ -442,6 +442,9 @@ def cmd_study_continuity_v(conf, args, out: Path):
 
 
 def cmd_study_continuity_phi(conf, args, out: Path):
+    if conf["grid.d"] != 1:
+        raise ConfigError(f"study-continuity-phi runs the phi ladder in one "
+                          f"dimension only; got grid.d = {conf['grid.d']}")
     grid, part, mesh, b, cfg, calib, eps_list = _study_common(conf, args)
     calib = _load_calibration_or_die(args, needed=True, grid=grid)
     c_lam = cal_mod.lambda_constant(calib, cfg)

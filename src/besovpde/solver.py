@@ -20,6 +20,9 @@ as arrays, with no per-node field objects.  A short global Picard run
 measures the contraction; the discrete operator is lower-triangular in
 time, so the fixed point itself is then reached by a backward march, one
 node at a time, and certified by one more application of the operator.
+The equation is linear, so for a drift constant in time every node's
+implicit problem has the same linear part: on small grids it is factored
+once and each node is one matrix-vector product.
 
 Time integrals use per-mode exact integration of the exponential kernel
 against a linearly interpolated integrand (a stiffness-uniform O(dt^2)
@@ -44,6 +47,7 @@ from .grid import (
     GridError,
     SpectralField,
     TimeField,
+    chunk_rows,
     evaluate_at,
     gradient,
     gradient_stack,
@@ -102,6 +106,19 @@ DIVERGENCE_STREAK = 3
 # measures before the backward march takes over; the weighted ratios
 # settle after about three iterations.
 CERTIFICATE_RATIOS = 4
+
+# Largest grid, in unknowns n^d, whose march factors the node operator
+# once for a static drift (``_march_dense``); larger grids march by local
+# fixed-point steps (``_march_iterative``).  Measured march times (2-core
+# host, numpy 2.4, 1 BLAS thread, T = 0.5, affine terminal data; dense vs
+# iterative): 1D n=128, M=64: 6 vs 58 ms; 1D n=256, M=64: 14 vs 59 ms
+# (M=16: 12 vs 22 ms); 2D n=16 (256 unknowns), M=32: 34 vs 44 ms (M=8:
+# 32 vs 18 ms, M=128: 44 vs 126 ms).  Above 256 the build (one pairing
+# per unknown, an LU solve with n^d + M right-hand sides) loses: 1D
+# n=512, M=64: 70 vs 108 ms but M=16: 68 vs 48 ms; 3D n=8 (512), M=16:
+# 399 vs 69 ms; 1D n=1024, M=64: 351 vs 126 ms; 2D n=32, M=32: 811 vs
+# 125 ms.
+DENSE_MARCH_MAX_UNKNOWNS = 256
 
 
 class PicardError(SolverError):
@@ -211,10 +228,13 @@ class SolveResult:
     """The mild solution together with its diagnostics.
 
     ``iterations`` and the ratios count the global Picard iterations (the
-    whole solve, or the prefix before the march); ``march_steps`` counts
-    the march's local steps, 0 when Picard converged.  The final
-    increments are ||T(v) - v|| of the returned v after a march, and the
-    last Picard increment otherwise.
+    whole solve, or the prefix before the march).  ``march`` names the
+    march that reached the answer: "none" when Picard converged, else
+    "dense" or "iterative" (see ``_operator``).  ``march_steps`` counts
+    its node solves: 0 for "none", one a node (M) for "dense", and the
+    local fixed-point steps summed over the nodes for "iterative".  The
+    final increments are ||T(v) - v|| of the returned v after a march,
+    and the last Picard increment otherwise.
     """
 
     v: TimeField
@@ -232,6 +252,7 @@ class SolveResult:
     weak_residual: float = float("nan")
     weak_tolerance: float = float("nan")
     ratios_raw: list = field(default_factory=list)
+    march: str = "none"       # none | dense | iterative
     march_steps: int = 0
     error_bound: float = float("nan")   # rho-weighted, a posteriori
 
@@ -240,6 +261,7 @@ class SolveResult:
             "rho": self.rho,
             "lambda": self.lam,
             "iterations": self.iterations,
+            "march": self.march,
             "march_steps": self.march_steps,
             "ratios": list(self.ratios),
             "final_increment": self.final_increment,
@@ -389,101 +411,206 @@ def _check_mesh(v: TimeField, data: PDEData, cfg: SolverConfig):
             f"(T={cfg.T}, M={cfg.M})")
 
 
-def _operator(data: PDEData, cfg: SolverConfig, lambda_kernel: bool):
+@dataclass(frozen=True, eq=False)
+class _Operator:
+    """What ``_operator`` sets up once per solve; see there."""
+
+    data: PDEData
+    cfg: SolverConfig
+    lambda_kernel: bool
+    free: np.ndarray        # P_(T-t) v_T at the nodes
+    weights: tuple          # _sweep_weights of the kernel's decay rates
+    slopes: np.ndarray      # the closed-form slopes at the nodes
+    b_samples: np.ndarray   # the drift's 2x-grid samples, broadcast over
+                            # the nodes; None unless the drift is static
+
+    def integrand(self, p, s):
+        g = self.data.grid
+        q = drift_terms(gradient_stack(p, g, s), self.data.b.coeffs, g,
+                        b_samples=self.b_samples)
+        if not self.lambda_kernel:
+            q = q - self.cfg.lam * p
+        return q - self.data.g.coeffs
+
+    def image(self, q):
+        return self.free + _duhamel_sweep(q, self.weights)
+
+
+def _operator(data: PDEData, cfg: SolverConfig,
+              lambda_kernel: bool) -> _Operator:
     """The Duhamel operator on coefficient stacks, set up once per solve.
 
-    Returns ``(integrand, image, march)``.  For an iterate with periodic
-    coefficients ``p`` and slopes ``s``, ``integrand(p, s)`` is the node
-    stack q of the time integrand: the pairing of slope + grad p with b,
-    less lam p unless ``lambda_kernel`` moves the lam-term into the
-    kernel, less g.
+    For an iterate with periodic coefficients ``p`` and slopes ``s``,
+    ``integrand(p, s)`` is the node stack q of the time integrand: the
+    pairing of slope + grad p with b, less lam p unless ``lambda_kernel``
+    moves the lam-term into the kernel, less g.
     ``image(q)`` is the periodic part of T(v): P_(T-t) v_T plus the swept
     integral of q.  The slopes of T(v) are ``_slopes`` and need no iterate.
+    A drift whose nodes all equal the first is sampled on the 2x grid once
+    here (``b_samples``), and every pairing reuses those samples.
 
-    ``march(max_steps, history)`` reaches the fixed point of T node by
-    node.  The sweep makes node m depend on nodes m..M only, so with
+    The sweep makes node m depend on nodes m..M only, so the fixed point
+    of T is reached node by node, backward from the terminal node: with
     ``q_m`` the integrand at node m,
 
         v_m = decay v_(m+1) + w_right q_(m+1)(v_(m+1)) + w_left q_m(v_m),
 
-    and only the ``w_left`` term is implicit.  With c_m the explicit part,
-    x <- c_m + w_left q_m(x) is iterated from a predictor (q_m extrapolated
-    from the two nodes after m) until the coefficient increment reaches
-    the rounding floor, 8 eps max|x|, or stops decreasing.  Each step pairs
-    through ``drift_terms`` with node m's drift samples, which are taken
-    once per node.  Returns the
-    periodic stack and the number of local steps; a node that goes
-    non-finite or does not settle in ``max_steps`` raises ``PicardError``
-    with ``history`` as its ratios.
+    and only the ``w_left`` term is implicit.  ``_march_dense`` solves this
+    with the node operator factored once, for a static drift on a grid of
+    at most ``DENSE_MARCH_MAX_UNKNOWNS`` points; ``_march_iterative``
+    solves each node by local fixed-point steps otherwise.
     """
     g = data.grid
-    b, source = data.b.coeffs, data.g.coeffs
     tails = cfg.T - data.b.t_grid
     mu = 0.5 * g.k_squared()
     if lambda_kernel:
         mu = cfg.lam + mu
     free = np.array([np.exp(-mu * tail) * data.v_T.periodic.coeffs
                      for tail in tails])
-    weights = _sweep_weights(mu, cfg.dt)
+    b = data.b.coeffs
+    b_samples = None
+    if np.all(b == b[:1]):
+        one = drift_samples(b[:1], g)
+        b_samples = np.broadcast_to(one, (len(b),) + one.shape[1:])
+    return _Operator(data, cfg, lambda_kernel, free,
+                     _sweep_weights(mu, cfg.dt), _slopes(data, cfg),
+                     b_samples)
 
-    def integrand(p, s):
-        q = drift_terms(gradient_stack(p, g, s), b, g)
-        if not lambda_kernel:
-            q = q - cfg.lam * p
-        return q - source
 
-    def image(q):
-        return free + _duhamel_sweep(q, weights)
+def _march_iterative(op: _Operator, max_steps: int, history):
+    """The march with each node solved by local fixed-point steps.
 
-    slopes = _slopes(data, cfg)
+    With c_m the explicit part, x <- c_m + w_left q_m(x) is iterated from a
+    predictor (q_m extrapolated from the two nodes after m) until the
+    coefficient increment reaches the rounding floor, 8 eps max|x|, or
+    stops decreasing.  Each step pairs through ``drift_terms`` with node
+    m's drift samples, which are taken once per node.  Returns the
+    periodic stack and the number of local steps; a node that goes
+    non-finite or does not settle in ``max_steps`` raises ``PicardError``
+    with ``history`` as its ratios.
+    """
+    data, cfg, g = op.data, op.cfg, op.data.grid
+    b, source, slopes = data.b.coeffs, data.g.coeffs, op.slopes
+    decay, w_left, w_right = op.weights
 
     def node_integrand(m, x, samples):
         w = gradient_stack(x[None], g, slopes[m:m + 1])
         q = drift_terms(w, b[m:m + 1], g, b_samples=samples)[0]
-        if not lambda_kernel:
+        if not op.lambda_kernel:
             q = q - cfg.lam * x
         return q - source[m]
 
-    def march(max_steps, history):
-        decay, w_left, w_right = weights
-        floor = 8.0 * np.finfo(float).eps
-        v = np.empty_like(free)
-        v[-1] = free[-1]
-        samples = drift_samples(b[-1:], g)
-        steps = 0
-        q_after = None
-        for m in range(len(v) - 2, -1, -1):
-            q_next = node_integrand(m + 1, v[m + 1], samples)
-            samples = drift_samples(b[m:m + 1], g)
-            c = decay * v[m + 1] + w_right * q_next
-            # q_m extrapolated linearly from the two nodes after m: about
-            # 15% fewer local steps than the predictor q_m ~ q_(m+1)
-            x = c + w_left * (q_next if q_after is None
-                              else 2.0 * q_next - q_after)
-            q_after = q_next
-            prev = math.inf
-            for k in range(1, max_steps + 1):
-                x_new = c + w_left * node_integrand(m, x, samples)
-                inc = float(np.abs(x_new - x).max())
-                x = x_new
-                if not math.isfinite(inc):
-                    raise PicardError(
-                        f"non-finite iterate at node {m} (t = "
-                        f"{data.b.t_grid[m]:.6g}) in local step {k}; the "
-                        "march diverged", history)
-                if inc <= floor * float(np.abs(x).max()) or inc >= prev:
-                    break
-                prev = inc
-            else:
+    floor = 8.0 * np.finfo(float).eps
+    v = np.empty_like(op.free)
+    v[-1] = op.free[-1]
+    samples = drift_samples(b[-1:], g)
+    steps = 0
+    q_after = None
+    for m in range(len(v) - 2, -1, -1):
+        q_next = node_integrand(m + 1, v[m + 1], samples)
+        samples = drift_samples(b[m:m + 1], g)
+        c = decay * v[m + 1] + w_right * q_next
+        # q_m extrapolated linearly from the two nodes after m: about
+        # 15% fewer local steps than the predictor q_m ~ q_(m+1)
+        x = c + w_left * (q_next if q_after is None
+                          else 2.0 * q_next - q_after)
+        q_after = q_next
+        prev = math.inf
+        for k in range(1, max_steps + 1):
+            x_new = c + w_left * node_integrand(m, x, samples)
+            inc = float(np.abs(x_new - x).max())
+            x = x_new
+            if not math.isfinite(inc):
                 raise PicardError(
-                    f"node {m} (t = {data.b.t_grid[m]:.6g}) did not settle "
-                    f"in {max_steps} local steps (last increment "
-                    f"{inc:.3e})", history)
-            steps += k
-            v[m] = x
-        return v, steps
+                    f"non-finite iterate at node {m} (t = "
+                    f"{data.b.t_grid[m]:.6g}) in local step {k}; the "
+                    "march diverged", history)
+            if inc <= floor * float(np.abs(x).max()) or inc >= prev:
+                break
+            prev = inc
+        else:
+            raise PicardError(
+                f"node {m} (t = {data.b.t_grid[m]:.6g}) did not settle "
+                f"in {max_steps} local steps (last increment "
+                f"{inc:.3e})", history)
+        steps += k
+        v[m] = x
+    return v, steps
 
-    return integrand, image, march
+
+def _march_dense(op: _Operator, history):
+    """The march with the node operator factored once (a static drift).
+
+    On the N = n^d coarse-grid samples the integrand at node m is affine,
+    q_m(x) = D x + e_m: D is grad(.) . b, less lam I unless the kernel
+    carries lam, and e_m is the slope pairing less the source.  With the
+    sweep weights as Fourier multipliers the node equation reads
+
+        (I - W_left D) v_m = (Decay + W_right D) v_(m+1) + f'_m,
+        f'_m = W_right e_(m+1) + W_left e_m.
+
+    D is paired from the N unit sample fields, ``chunk_rows`` of them a
+    ``drift_terms`` call with the drift samples of the solve.  One LU
+    solve with A = I - W_left D gives B = A^-1 (Decay + W_right D) and
+    every node's forcing f_m = A^-1 f'_m, and v_m = B v_(m+1) + f_m is one
+    matvec a node (the implicit ETD-trapezoid step, Cox & Matthews, JCP
+    2002).  Returns the periodic stack and M, its node count; a singular A
+    or a non-finite node raises ``PicardError`` with ``history`` as its
+    ratios.
+    """
+    data, g = op.data, op.data.grid
+    size = g.n ** g.d
+    axes = tuple(range(1, g.d + 1))
+    decay, w_left, w_right = op.weights
+    nodes = len(op.free)
+
+    def samples(c):
+        """Rows of coarse-grid samples of a coefficient stack."""
+        return (np.fft.ifftn(c, axes=axes).real * size).reshape(len(c), size)
+
+    # the matrices a block of columns at a time: the whole basis at once
+    # raised the 1D benchmark's peak RSS by ~0.8 MB
+    b, b_samples = data.b.coeffs, op.b_samples
+    lhs = np.eye(size)
+    rhs = np.empty((size, size + nodes - 1))
+    rows = chunk_rows((2 * g.d,) + g.shape, g)
+    for lo in range(0, size, rows):
+        k = min(rows, size - lo)
+        basis = np.fft.fftn(np.eye(k, size, lo).reshape((k,) + g.shape),
+                            axes=axes) / size
+        d_cols = drift_terms(
+            gradient_stack(basis, g),
+            np.broadcast_to(b[:1], (k,) + b.shape[1:]), g,
+            b_samples=np.broadcast_to(b_samples[:1],
+                                      (k,) + b_samples.shape[1:]))
+        if not op.lambda_kernel:
+            d_cols -= op.cfg.lam * basis
+        lhs[:, lo:lo + k] -= samples(w_left * d_cols).T
+        rhs[:, lo:lo + k] = samples(decay * basis + w_right * d_cols).T
+    e = op.integrand(np.zeros_like(op.free), op.slopes)
+    rhs[:, size:] = samples(w_right * e[1:] + w_left * e[:-1]).T
+    t_grid = data.b.t_grid
+    try:
+        sol = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PicardError(
+            f"the node operator I - W_left D is singular ({exc}); the dense "
+            f"march stops at node {nodes - 2} (t = {t_grid[-2]:.6g})",
+            history) from exc
+    step, forcing = sol[:, :size], sol[:, size:]
+    x = np.empty((nodes, size))
+    x[-1] = samples(op.free[-1:])[0]
+    for m in range(nodes - 2, -1, -1):
+        x[m] = step @ x[m + 1] + forcing[:, m]
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if len(bad):
+        m = int(bad[-1])
+        raise PicardError(
+            f"non-finite iterate at node {m} (t = {t_grid[m]:.6g}) in the "
+            "dense march", history)
+    v = np.fft.fftn(x.reshape((nodes,) + g.shape), axes=axes) / size
+    v[-1] = op.free[-1]
+    return v, nodes - 1
 
 
 def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
@@ -501,8 +628,8 @@ def apply_T(v: TimeField, data: PDEData, cfg: SolverConfig,
     if lambda_kernel is None:
         lambda_kernel = cfg.uses_lambda_kernel()
     _check_mesh(v, data, cfg)
-    integrand, image, _ = _operator(data, cfg, lambda_kernel)
-    p = image(integrand(v.coeffs, _slopes_of(v)))
+    op = _operator(data, cfg, lambda_kernel)
+    p = op.image(op.integrand(v.coeffs, _slopes_of(v)))
     return TimeField.from_stacks(data.b.t_grid, data.grid, p,
                                  _slopes(data, cfg))
 
@@ -553,8 +680,8 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     rho = float(rho)
     kind = "dc" if data.is_affine else "c1plus"
     use_kernel = cfg.uses_lambda_kernel()
-    integrand, image, march = _operator(data, cfg, use_kernel)
-    slopes = _slopes(data, cfg)
+    op = _operator(data, cfg, use_kernel)
+    integrand, image, slopes = op.integrand, op.image, op.slopes
 
     def increment_norms(dp, ds):
         if kind == "dc":
@@ -576,7 +703,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
     weighted_log = float("inf")
     sup_inc = float("inf")
     iterations = 0
-    march_steps = 0
+    march, march_steps = "none", 0
     for iterations in range(1, cfg.max_iter + 1):
         p_next = image(integrand(p, s))
         norms = increment_norms(p_next - p, slopes - s)
@@ -616,7 +743,15 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
             q = integrand(p, s)
             break
         if len(ratios) >= CERTIFICATE_RATIOS:
-            p, march_steps = march(cfg.max_iter, ratios_raw)
+            g = data.grid
+            if (op.b_samples is not None
+                    and g.n ** g.d <= DENSE_MARCH_MAX_UNKNOWNS):
+                march = "dense"
+                p, march_steps = _march_dense(op, ratios_raw)
+            else:
+                march = "iterative"
+                p, march_steps = _march_iterative(op, cfg.max_iter,
+                                                  ratios_raw)
             q = integrand(p, s)
             norms = increment_norms(image(q) - p, slopes - s)
             sup_inc = float(norms.max())
@@ -625,7 +760,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
                 raise PicardError(
                     f"the marched solution misses its certificate: "
                     f"||T(v) - v|| = {sup_inc:.3e} above tol_fix "
-                    f"{cfg.tol_fix:.3e} after {march_steps} local steps",
+                    f"{cfg.tol_fix:.3e} after the {march} march",
                     ratios_raw)
             break
     else:
@@ -652,6 +787,7 @@ def solve_mild(data: PDEData, cfg: SolverConfig, part: DyadicPartition = None,
         quad_tolerance=quad_tol,
         norm_kind=kind,
         ratios_raw=ratios_raw,
+        march=march,
         march_steps=march_steps,
         error_bound=(final_increment / (1.0 - q_max) if q_max < 1.0
                      else math.inf),

@@ -6,7 +6,6 @@ integrating-factor Runge-Kutta time stepping, bisection, quadrature.
 """
 
 import math
-import math
 import warnings
 from fractions import Fraction
 from math import comb
@@ -37,7 +36,6 @@ from besovpde.solver import (
     _check_mesh,
     _operator,
     _quad_tolerance_from_nodes,
-    _slopes,
     default_test_fields,
     path_besov_norm,
     select_rho,
@@ -504,8 +502,8 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
     rho = float(rho)
     kind = "dc" if data.is_affine else "c1plus"
     use_kernel = cfg.uses_lambda_kernel()
-    integrand, image, _ = _operator(data, cfg, use_kernel)
-    slopes = _slopes(data, cfg)
+    op = _operator(data, cfg, use_kernel)
+    integrand, image, slopes = op.integrand, op.image, op.slopes
 
     if v0 is None:
         _check_mesh(data.b, data, cfg)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from besovpde import TorusGrid, apply_heat, load_field, save_field, to_fourier
-from besovpde import cli
+from besovpde import cli, solver
 from besovpde.cli import main, parse_config
 from test_solver import nan_in_slice
 
@@ -115,14 +115,17 @@ def test_solve_manifest_contents(calibrated):
     assert main(["solve", "--config", str(conf), "--out", str(out),
                  "--calibration", str(cal)]) == 0
     meta = json.loads((out / "solution.json").read_text())
-    for key in ("rho", "iterations", "march_steps", "ratios",
+    for key in ("rho", "iterations", "march", "march_steps", "ratios",
                 "final_increment_sup", "error_bound", "weak_residual",
                 "affine_slopes", "config"):
         assert key in meta
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
+    # a static drift on 64 points marches on the factored node operator,
+    # one step a node
+    assert manifest["march"] == meta["march"] == "dense"
     # the certificate of the written solution: ||T(v) - v|| and the bound
-    assert manifest["march_steps"] == meta["march_steps"] > 0
+    assert manifest["march_steps"] == meta["march_steps"] == 32
     assert manifest["final_increment_sup"] <= meta["config"]["tol_fix"]
     assert manifest["error_bound"] == meta["error_bound"] < float("inf")
     assert any(name.endswith("solution.json") for name in manifest["outputs"])
@@ -198,6 +201,8 @@ def test_solve_u_command(calibrated):
                  "--calibration", str(cal)]) == 0
     meta = json.loads((out / "solution.json").read_text())
     assert meta["lambda"] == 2.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["march"] == meta["march"] in ("none", "dense")
 
 
 def test_study_bony_command(calibrated):
@@ -300,9 +305,11 @@ def test_unreadable_calibration_exits_4(calibrated, tmp_path):
     assert rc == 4
 
 
-def test_march_node_failure_exits_3(calibrated, capsys):
+def test_march_node_failure_exits_3(calibrated, capsys, monkeypatch):
     # five Picard iterations reach the four certificate ratios, and five
-    # local steps are too few for the first node the march solves
+    # local steps are too few for the first node the iterative march
+    # solves (the gate at 0 sends this static drift there)
+    monkeypatch.setattr(solver, "DENSE_MARCH_MAX_UNKNOWNS", 0)
     tmp, conf, cal = calibrated
     short = write(tmp, BASE + "picard.max_iter = 5\n", "short.txt")
     rc = main(["solve", "--config", str(short), "--out",
@@ -310,6 +317,35 @@ def test_march_node_failure_exits_3(calibrated, capsys):
     assert rc == 3
     assert "node 31 (t = 0.484375) did not settle in 5 local steps" in \
         capsys.readouterr().err
+
+
+def test_singular_dense_march_exits_3(calibrated, capsys, monkeypatch):
+    # a node operator that cannot be factored stops the dense march with a
+    # named cause, not a LinAlgError traceback
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solver.np.linalg, "solve", singular)
+    tmp, conf, cal = calibrated
+    rc = main(["solve", "--config", str(conf), "--out",
+               str(tmp / "singular_out"), "--calibration", str(cal)])
+    assert rc == 3
+    assert ("the node operator I - W_left D is singular (Singular matrix); "
+            "the dense march stops at node 31 (t = 0.484375)"
+            in capsys.readouterr().err)
+
+
+def test_continuity_phi_study_in_two_dimensions_exits_2(tmp_path, capsys):
+    # the phi ladder is one-dimensional: a d = 2 config is a config error,
+    # named before any drift is built or calibration read
+    conf = write(tmp_path, BASE + "grid.d = 2\ngrid.n = 16\n"
+                 'lambda.policy = "auto-threshold"\n')
+    rc = main(["study-continuity-phi", "--config", str(conf), "--out",
+               str(tmp_path / "o"), "--calibration",
+               str(tmp_path / "missing.json")])
+    assert rc == 2
+    assert ("study-continuity-phi runs the phi ladder in one dimension "
+            "only; got grid.d = 2") in capsys.readouterr().err
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -670,7 +670,7 @@ def test_solve_converging_in_the_prefix_is_the_picard_oracle(grid64, part64):
                        rho=8.0)
     fast = solve_mild(data, cfg, part=part64)
     full = picard_solve(data, cfg, part=part64)
-    assert fast.march_steps == 0
+    assert (fast.march, fast.march_steps) == ("none", 0)
     for name in ("iterations", "ratios", "ratios_raw", "final_increment",
                  "final_increment_log", "final_increment_sup",
                  "quad_tolerance", "weak_residual", "weak_tolerance"):
@@ -682,9 +682,12 @@ def test_solve_converging_in_the_prefix_is_the_picard_oracle(grid64, part64):
                                 / (1.0 - max(fast.ratios)))
 
 
-def test_march_node_that_does_not_settle_is_named(grid64, part64):
+def test_march_node_that_does_not_settle_is_named(grid64, part64,
+                                                  monkeypatch):
     # five Picard iterations give the four certificate ratios; five local
-    # steps are too few for the last interval's node
+    # steps are too few for the last interval's node.  The gate at 0 sends
+    # this static drift to the iterative march, as a larger grid would be
+    monkeypatch.setattr(solver, "DENSE_MARCH_MAX_UNKNOWNS", 0)
     data = _affine_rough_1d(grid64, part64)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
                        rho=8.0, max_iter=5)
@@ -695,8 +698,10 @@ def test_march_node_that_does_not_settle_is_named(grid64, part64):
 
 
 def test_march_non_finite_node_is_named(grid64, part64, monkeypatch):
-    # a pairing that goes non-finite in the march (the calls that pass the
-    # node's drift samples) stops it at the first node it reaches
+    # a pairing that goes non-finite in the iterative march (its one-row
+    # calls) stops it at the first node it reaches; the gate at 0 sends
+    # this static drift there
+    monkeypatch.setattr(solver, "DENSE_MARCH_MAX_UNKNOWNS", 0)
     data = _affine_rough_1d(grid64, part64)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
                        rho=8.0)
@@ -704,11 +709,193 @@ def test_march_non_finite_node_is_named(grid64, part64, monkeypatch):
 
     def poisoned(w, b, grid, b_samples=None):
         out = pairing(w, b, grid, b_samples=b_samples)
-        return out if b_samples is None else out * np.nan
+        return out if len(w) > 1 else out * np.nan
 
     monkeypatch.setattr(solver, "drift_terms", poisoned)
     with pytest.raises(PicardError, match=r"non-finite iterate at node 15 "
                        r"\(t = 0\.46875\) in local step 1"):
+        solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+
+
+def _static_case(case, grid64, part64):
+    """Data with a drift constant in time, for the dense march.
+
+    affine-1d: affine terminal data, no source; source-1d: the same drift
+    with periodic terminal data and the source -b_0 (as ``solve_u``);
+    bounded-2d: a 2D grid of 256 points, periodic terminal data and a
+    sine source.
+    """
+    if case == "bounded-2d":
+        grid = TorusGrid(d=2, n=16)
+        part = dyadic_partition(grid)
+        mesh = TimeField.uniform_mesh(0.5, 8)
+        xs = np.meshgrid(*[grid.axis_points()] * 2, indexing="ij")
+        b0 = dyadic_random_field(grid, -0.3, seed=43, comp_shape=(2,),
+                                 part=part)
+        g = to_fourier(np.sin(xs[1]), grid)
+        return make_data(grid, mesh, b=TimeField(mesh, [b0] * len(mesh)),
+                         g=TimeField(mesh, [g] * len(mesh)),
+                         v_T=to_fourier(np.sin(xs[0]) * np.cos(xs[1]),
+                                        grid)), part
+    data = _affine_rough_1d(grid64, part64)
+    if case == "source-1d":
+        mesh = data.b.t_grid
+        g = TimeField.from_stacks(mesh, grid64, -data.b.coeffs[:, 0])
+        data = make_data(grid64, mesh, b=data.b, g=g,
+                         v_T=data.v_T.periodic)
+    return data, part64
+
+
+DENSE_CASES = [
+    ("affine-1d", 0.0, "auto", False),
+    ("affine-1d", 2.0, "never", False),
+    ("affine-1d", 2.0, "always", False),
+    ("source-1d", 2.0, "never", False),
+    ("source-1d", 40.0, "always", False),
+    ("bounded-2d", 0.0, "auto", False),
+    ("bounded-2d", 2.0, "never", False),
+    ("bounded-2d", 40.0, "always", False),
+    ("affine-1d", 0.0, "auto", True),
+]
+
+
+@pytest.mark.parametrize("case, lam, kernel",
+                         [c[:3] for c in DENSE_CASES if not c[3]])
+def test_dense_march_matches_the_iterative_march(grid64, part64, case, lam,
+                                                 kernel):
+    # the two marches on one operator: tolerance 1e-12 relative on the
+    # periodic coefficients; the dense march takes one step a node
+    data, part = _static_case(case, grid64, part64)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=lam,
+                       rho=8.0, lambda_kernel=kernel)
+    op = solver._operator(data, cfg, cfg.uses_lambda_kernel())
+    assert op.b_samples is not None
+    dense, nodes = solver._march_dense(op, [])
+    iterative, steps = solver._march_iterative(op, cfg.max_iter, [])
+    assert nodes == cfg.M < steps
+    gap = np.abs(dense - iterative).max() / np.abs(iterative).max()
+    assert gap <= 1e-12
+    assert np.array_equal(dense[-1], iterative[-1])
+
+
+@pytest.mark.parametrize("case, lam, kernel, warm", DENSE_CASES)
+def test_dense_march_solve_matches_the_picard_oracle(grid64, part64, case,
+                                                     lam, kernel, warm):
+    # a whole solve through the dense march against the global Picard loop:
+    # tolerance 1e-10 relative; the certificate holds on the returned
+    # answer, and a repeated solve is bit-identical
+    data, part = _static_case(case, grid64, part64)
+    v0 = _random_path(data, 3) if warm else None
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=lam,
+                       rho=8.0, lambda_kernel=kernel)
+    fast = solve_mild(data, cfg, part=part, v0=v0)
+    full = picard_solve(data, cfg, part=part, v0=v0)
+    assert (fast.march, fast.march_steps) == ("dense", cfg.M)
+    assert fast.ratios_raw == full.ratios_raw[:len(fast.ratios_raw)]
+    assert coefficient_gap(fast, full) <= 1e-10
+    assert fast.final_increment_sup == mild_increment(fast, data, cfg, part)
+    assert fast.final_increment_sup <= cfg.tol_fix
+    assert fast.weak_residual <= 10.0 * fast.weak_tolerance
+    again = solve_mild(data, cfg, part=part, v0=v0)
+    assert np.array_equal(again.v.coeffs, fast.v.coeffs)
+    assert np.array_equal(again.v.slopes, fast.v.slopes)
+    assert (again.march, again.final_increment_sup, again.error_bound,
+            again.weak_residual) == (fast.march, fast.final_increment_sup,
+                                     fast.error_bound, fast.weak_residual)
+
+
+def _pairing_without_drift_samples(w, b, grid, b_samples=None):
+    """``drift_terms`` sampling b chunk by chunk, except in the iterative
+    march's one-row calls: the pairing as the solver made it before the
+    drift was sampled once per solve."""
+    if len(w) > 1:
+        b_samples = None
+    return paraproduct_mod.drift_terms(w, b, grid, b_samples=b_samples)
+
+
+@pytest.mark.parametrize("case, march", [
+    ("solve-1d-shaped", "dense"),
+    ("above-gate-1d", "iterative"),
+    ("modulated-2d", "iterative"),
+])
+def test_march_gate_and_drift_sampled_once(grid128, part128, monkeypatch,
+                                           case, march):
+    # a static drift on at most DENSE_MARCH_MAX_UNKNOWNS points takes the
+    # dense march, sampling the drift once; a larger grid or a drift that
+    # varies in time marches by local steps.  The static samples, shared
+    # by every pairing, give the bytes of the pairing that samples b chunk
+    # by chunk: the same Picard prefix, march and certificate, bit for bit
+    if case == "solve-1d-shaped":
+        data, part = _affine_rough_1d(grid128, part128, M=64), part128
+    elif case == "above-gate-1d":
+        grid = TorusGrid(d=1, n=2 * solver.DENSE_MARCH_MAX_UNKNOWNS)
+        part = dyadic_partition(grid)
+        data = _affine_rough_1d(grid, part, M=8)
+    else:
+        data, part = _bounded_modulated_2d()
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0)
+    sampled = []
+    sample = solver.drift_samples
+
+    def spy(b, grid):
+        sampled.append(len(b))
+        return sample(b, grid)
+
+    monkeypatch.setattr(solver, "drift_samples", spy)
+    fast = solve_mild(data, cfg, part=part)
+    assert fast.march == fast.manifest()["march"] == march
+    if march == "dense":
+        assert sampled == [1]
+        assert fast.march_steps == cfg.M
+    else:
+        assert fast.march_steps > cfg.M
+    monkeypatch.setattr(solver, "drift_terms",
+                        _pairing_without_drift_samples)
+    slow = solve_mild(data, cfg, part=part)
+    assert fast.ratios_raw == slow.ratios_raw
+    for name in ("march", "iterations", "march_steps", "final_increment_sup",
+                 "error_bound", "quad_tolerance", "weak_residual"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert np.array_equal(fast.v.coeffs, slow.v.coeffs)
+
+
+def test_singular_node_operator_is_named(grid64, part64, monkeypatch):
+    # the factor of I - W_left D fails: a PicardError naming the first node
+    # the dense march would solve and the cause, not a LinAlgError
+    data = _affine_rough_1d(grid64, part64)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solver.np.linalg, "solve", singular)
+    with pytest.raises(PicardError, match=re.escape(
+            "the node operator I - W_left D is singular (Singular matrix); "
+            "the dense march stops at node 15 (t = 0.46875)")) as err:
+        solve_mild(data, cfg, part=part64, compute_weak_residual=False)
+    assert len(err.value.ratios) == 4
+
+
+def test_dense_march_non_finite_node_is_named(grid64, part64, monkeypatch):
+    # node 10's forcing goes non-finite: the march stops naming node 10,
+    # the first node it reaches that is not finite
+    data = _affine_rough_1d(grid64, part64)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=data.b.M, lam=0.0,
+                       rho=8.0)
+    size = grid64.n
+    solve = np.linalg.solve
+
+    def poisoned(a, rhs):
+        out = solve(a, rhs)
+        out[:, size + 10] = np.nan
+        return out
+
+    monkeypatch.setattr(solver.np.linalg, "solve", poisoned)
+    with pytest.raises(PicardError, match=re.escape(
+            "non-finite iterate at node 10 (t = 0.3125) in the dense "
+            "march")):
         solve_mild(data, cfg, part=part64, compute_weak_residual=False)
 
 
