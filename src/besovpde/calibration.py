@@ -3,9 +3,9 @@
 The existence statements behind the solver (heat smoothing, gradient
 control, product bounds, the weighted time-integral bound) never exhibit
 their constants; parameter selection needs numbers.  One calibration run
-measures envelope constants on random fields at a fixed resolution and
-stores them in a JSON file keyed by exponent pair; rho and lambda
-selection consume them.
+measures the constants ``contraction_constant`` and ``lambda_constant``
+read, on stacks of random fields at a fixed resolution, and stores them in
+a JSON file keyed by exponent pair.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from .heat import bernstein_check, dc_stability_check, schauder_fit
 from .lp import (
     AffinePeriodicField,
     besov_norm,
+    besov_norms,
     dc_norms,
     dyadic_partition,
     dyadic_random_field,
     rho_time_norm_log,
 )
-from .paraproduct import bony_product
+from .paraproduct import dealiased_products
 from .solver import SolverConfig, SolverError
 
 __all__ = [
@@ -67,19 +68,18 @@ def calibrate_schauder(grid, gamma, theta, seed, n_fields=16, part=None):
 
 
 def calibrate_bony(grid, alpha, beta, seed, pairs=16, part=None):
-    """Envelope of ||f g||_{-beta} / (||f||_alpha ||g||_{-beta})."""
+    """Envelope of ||f g||_{-beta} / (||f||_alpha ||g||_{-beta}), f g the
+    dealiased product the drift pairing computes (the Bony terms' sum)."""
     part = part or dyadic_partition(grid)
     seeds = _spawn(seed, 2 * pairs)
-    worst = 0.0
-    for i in range(pairs):
-        f = dyadic_random_field(grid, alpha, seeds[2 * i], part=part)
-        g = dyadic_random_field(grid, -beta, seeds[2 * i + 1], part=part)
-        total = bony_product(f, alpha, g, beta, part).total
-        ratio = (besov_norm(total, -beta, part).value
-                 / (besov_norm(f, alpha, part).value
-                    * besov_norm(g, -beta, part).value))
-        worst = max(worst, ratio)
-    return worst
+    f = np.array([dyadic_random_field(grid, alpha, s, part=part).coeffs
+                  for s in seeds[0::2]])
+    g = np.array([dyadic_random_field(grid, -beta, s, part=part).coeffs
+                  for s in seeds[1::2]])
+    ratios = (besov_norms(dealiased_products(f[:, None], g[:, None], grid),
+                          -beta, part)
+              / (besov_norms(f, alpha, part) * besov_norms(g, -beta, part)))
+    return float(np.max(ratios))
 
 
 def calibrate_bernstein(grid, gamma, seed, n_fields=16, part=None):
@@ -92,10 +92,8 @@ def calibrate_bernstein(grid, gamma, seed, n_fields=16, part=None):
 def calibrate_dc_stability(grid, alpha, seed, n_fields=8, part=None):
     part = part or dyadic_partition(grid)
     rng = np.random.default_rng(seed)
-    fields = []
-    for s in _spawn(seed, n_fields):
-        p = dyadic_random_field(grid, alpha + 1.0, s, part=part)
-        fields.append(AffinePeriodicField(rng.normal(size=grid.d), p))
+    fields = [AffinePeriodicField(rng.normal(size=grid.d), dyadic_random_field(
+        grid, alpha + 1.0, s, part=part)) for s in _spawn(seed, n_fields)]
     s_samples = np.linspace(0.0, 1.0, 9)
     return dc_stability_check(alpha, fields, s_samples, part)
 
@@ -133,40 +131,23 @@ def calibrate_convolution(grid, alpha, beta, seed, T=1.0, M=64,
 
 
 def calibrate(grid: TorusGrid, beta: float, eps: float, alpha: float = None,
-              seed: int = 0, pairs: int = 16, n_fields: int = 16,
-              extra_schauder=((-0.3, 0.25), (0.2, 0.5)),
-              extra_bony=((0.6, 0.3),)) -> dict:
-    """One calibration pass covering the exponents a config needs."""
+              seed: int = 0, pairs: int = 16, n_fields: int = 16) -> dict:
+    """The six constants a config's runs read, in one pass.  The seed
+    indices skip those of four constants no run read, so the rest keep
+    their values."""
     part = dyadic_partition(grid)
     if alpha is None:
         alpha = beta + eps / 2.0
     theta = (1.0 + 2.0 * beta - eps) / 2.0
 
-    schauder = {}
-    for i, (g_, t_) in enumerate(
-            [(-beta + eps, theta)] + list(extra_schauder)):
-        schauder[pair_key(g_, t_)] = calibrate_schauder(
-            grid, g_, t_, np.random.SeedSequence((seed, 11, i)),
-            n_fields, part)
+    def seq(*key):
+        return np.random.SeedSequence((seed,) + key)
 
-    bony = {}
-    bony_pairs = [(alpha, beta)] + list(extra_bony)
+    bony = {pair_key(alpha, beta): calibrate_bony(
+        grid, alpha, beta, seq(13, 0), pairs, part)}
     if beta - eps > 0:
-        bony_pairs.append((beta, beta - eps))
-    for i, (a_, b_) in enumerate(bony_pairs):
-        bony[pair_key(a_, b_)] = calibrate_bony(
-            grid, a_, b_, np.random.SeedSequence((seed, 13, i)), pairs, part)
-
-    bernstein = {}
-    for i, g_ in enumerate(sorted({beta, -0.3})):
-        bernstein[pair_key(g_)] = calibrate_bernstein(
-            grid, g_, np.random.SeedSequence((seed, 17, i)), n_fields, part)
-
-    convolution = calibrate_convolution(
-        grid, alpha, beta, np.random.SeedSequence((seed, 19)), part=part)
-    dc_stab = calibrate_dc_stability(
-        grid, alpha, np.random.SeedSequence((seed, 23)), part=part)
-
+        bony[pair_key(beta, beta - eps)] = calibrate_bony(
+            grid, beta, beta - eps, seq(13, 2), pairs, part)
     return {
         # no timestamps: the file must be a pure function of (grid, seed)
         "metadata": {
@@ -174,11 +155,15 @@ def calibrate(grid: TorusGrid, beta: float, eps: float, alpha: float = None,
             "pairs": pairs, "fields": n_fields,
             "beta": beta, "eps": eps, "alpha": alpha,
         },
-        "schauder": schauder,
+        "schauder": {pair_key(-beta + eps, theta): calibrate_schauder(
+            grid, -beta + eps, theta, seq(11, 0), n_fields, part)},
         "bony": bony,
-        "bernstein_ineq": bernstein,
-        "convolution": convolution,
-        "dc_stability": dc_stab,
+        "bernstein_ineq": {pair_key(beta): calibrate_bernstein(
+            grid, beta, seq(17, 1), n_fields, part)},
+        "convolution": calibrate_convolution(grid, alpha, beta, seq(19),
+                                             part=part),
+        "dc_stability": calibrate_dc_stability(grid, alpha, seq(23),
+                                               part=part),
     }
 
 

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import AffinePeriodicField, SpectralField, TorusGrid, evaluate_at, gradient
-from .lp import DyadicPartition, besov_norm, dc_norm, dyadic_partition
+from .grid import (AffinePeriodicField, SpectralField, TorusGrid, evaluate_at,
+                   gradient, gradient_stack)
+from .lp import (DyadicPartition, besov_norms, dc_norm, dc_norms,
+                 dyadic_partition)
 
 __all__ = [
     "HeatMultiplier",
@@ -156,13 +158,19 @@ def _loglog_fit(name, t_samples, ratios, expected, envelope_exp):
     )
 
 
-def _check_fields(fields):
-    fields = list(fields)
-    if not fields:
+def _stack(fields, part):
+    """The coefficient stack of the sample fields, and the partition."""
+    stack = np.array([f.coeffs for f in fields])
+    if not len(stack):
         raise ValueError("no sample fields supplied")
-    if all(np.abs(f.coeffs).max() == 0.0 for f in fields):
+    if np.abs(stack).max() == 0.0:
         raise ValueError("degenerate generator: all sample fields vanish")
-    return fields
+    return stack, part or dyadic_partition(fields[0].grid)
+
+
+def _heat_path(stack, times, part):
+    """``apply_heat`` of every row of a stack, one stack per time."""
+    return (stack * HeatMultiplier(part.grid, t).weights for t in times)
 
 
 def schauder_fit(gamma: float, theta: float, fields, t_samples,
@@ -174,15 +182,10 @@ def schauder_fit(gamma: float, theta: float, fields, t_samples,
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    fields = _check_fields(fields)
-    if part is None:
-        part = dyadic_partition(fields[0].grid)
-    base = [besov_norm(f, gamma, part).value for f in fields]
-    ratios = []
-    for t in t_samples:
-        top = max(besov_norm(apply_heat(t, f), gamma + 2 * theta, part).value / b
-                  for f, b in zip(fields, base))
-        ratios.append(top)
+    stack, part = _stack(fields, part)
+    base = besov_norms(stack, gamma, part)
+    ratios = [np.max(besov_norms(p, gamma + 2 * theta, part) / base)
+              for p in _heat_path(stack, t_samples, part)]
     return _loglog_fit(f"schauder(gamma={gamma:g},theta={theta:g})",
                        t_samples, ratios, expected=-theta, envelope_exp=theta)
 
@@ -192,15 +195,10 @@ def heat_increment_fit(gamma: float, theta: float, fields, t_samples,
     """Fit ||P_t f - f||_gamma / ||f||_{gamma+2 theta} against t; slope ~ +theta."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0,1)")
-    fields = _check_fields(fields)
-    if part is None:
-        part = dyadic_partition(fields[0].grid)
-    base = [besov_norm(f, gamma + 2 * theta, part).value for f in fields]
-    ratios = []
-    for t in t_samples:
-        top = max(besov_norm(apply_heat(t, f) - f, gamma, part).value / b
-                  for f, b in zip(fields, base))
-        ratios.append(top)
+    stack, part = _stack(fields, part)
+    base = besov_norms(stack, gamma + 2 * theta, part)
+    ratios = [np.max(besov_norms(p - stack, gamma, part) / base)
+              for p in _heat_path(stack, t_samples, part)]
     return _loglog_fit(f"heat_increment(gamma={gamma:g},theta={theta:g})",
                        t_samples, ratios, expected=theta, envelope_exp=-theta)
 
@@ -208,15 +206,10 @@ def heat_increment_fit(gamma: float, theta: float, fields, t_samples,
 def bernstein_check(gamma: float, fields,
                     part: DyadicPartition = None) -> EstimateReport:
     """Envelope of ||grad g||_gamma / ||g||_{gamma+1} over the samples."""
-    fields = _check_fields(fields)
-    if part is None:
-        part = dyadic_partition(fields[0].grid)
-    ratios = []
-    for f in fields:
-        denom = besov_norm(f, gamma + 1.0, part).value
-        num = besov_norm(gradient(f), gamma, part).value
-        ratios.append(num / denom if denom > 0 else 0.0)
-    ratios = np.asarray(ratios)
+    stack, part = _stack(fields, part)
+    denom = besov_norms(stack, gamma + 1.0, part)
+    num = besov_norms(gradient_stack(stack, part.grid), gamma, part)
+    ratios = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
     return EstimateReport(
         name=f"bernstein(gamma={gamma:g})",
         fitted_exponent=0.0,
@@ -231,13 +224,14 @@ def bernstein_check(gamma: float, fields,
 
 def dc_stability_check(alpha: float, fields, s_samples,
                        part: DyadicPartition = None) -> float:
-    """Envelope constant of dc_norm(P_s h) <= c dc_norm(h) over s in [0, T]."""
-    worst = 0.0
-    for h in fields:
-        base = dc_norm(h, alpha, part)
-        for s in s_samples:
-            worst = max(worst, dc_norm(apply_heat(s, h), alpha, part) / base)
-    return worst
+    """Envelope constant of dc_norm(P_s h) <= c dc_norm(h) over s in [0, T]
+    for AffinePeriodicFields h."""
+    slopes = np.array([h.slope for h in fields])
+    coeffs = np.array([h.periodic.coeffs for h in fields])
+    part = part or dyadic_partition(fields[0].grid)
+    base = dc_norms(slopes, coeffs, alpha, part)
+    return float(np.max([dc_norms(slopes, p, alpha, part) / base
+                         for p in _heat_path(coeffs, s_samples, part)]))
 
 
 def dc_time_continuity_fit(alpha: float, nu: float, fields, eps_samples,

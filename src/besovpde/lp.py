@@ -369,9 +369,10 @@ def dyadic_random_field(grid: TorusGrid, gamma: float, seed,
 
     Modes are grouped into disjoint dyadic rings; each ring receives the
     phases of a white-noise draw and is rescaled so its raw sup norm hits
-    the target.  The resulting Besov ledger at gamma is flat up to the
-    leakage between the (overlapping) analysis windows, which keeps
-    besov_norm(f, gamma) within a factor ~2 of amplitude.
+    the target (the rings measured as one stack).  The resulting Besov
+    ledger at gamma is flat up to the leakage between the (overlapping)
+    analysis windows, which keeps besov_norm(f, gamma) within a factor ~2
+    of amplitude.
     """
     if part is None:
         part = dyadic_partition(grid)
@@ -380,16 +381,12 @@ def dyadic_random_field(grid: TorusGrid, gamma: float, seed,
     out = np.zeros(comp_shape + grid.shape, dtype=complex)
     for comp in np.ndindex(comp_shape) if comp_shape else [()]:
         white = np.fft.fftn(rng.standard_normal(grid.shape)) / grid.n**grid.d
+        js = [j for j in range(-1, part.j_max + 1) if (labels == j).any()]
+        rings = white * (labels == np.reshape(js, (-1,) + (1,) * grid.d))
         acc = np.zeros(grid.shape, dtype=complex)
-        for j in range(-1, part.j_max + 1):
-            mask = labels == j
-            if not mask.any():
-                continue
-            ring = white * mask
-            sup = SpectralField(grid, ring).sup_norm()
-            if sup == 0.0:
-                continue
-            acc += ring * (amplitude * 2.0 ** (-j * gamma) / sup)
+        for j, ring, sup in zip(js, rings, sup_norms(rings, grid).tolist()):
+            if sup != 0.0:
+                acc += ring * (amplitude * 2.0 ** (-j * gamma) / sup)
         out[comp] = acc
     return SpectralField(grid, out)
 

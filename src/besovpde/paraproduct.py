@@ -10,11 +10,10 @@ sampled there by ``grid._padded_samples``, the one padded-sample kernel
 
 The three Bony terms cover every block pair, so on the grid their sum is
 the plain dealiased product.  The split is what the paper's product
-estimate is proved through, and is kept for the product study and the
-calibration of that estimate's constant; the solver's drift pairing
-is the dealiased product itself.  ``drift_terms`` pairs the rows of two
-``(N, d) + grid`` coefficient stacks (a whole time path at once) in
-chunks of ``grid.chunk_rows`` rows, and ``drift_term`` is its one-row case.
+estimate is proved through; it serves acceptance criterion c07, demo 03
+and the test oracle ``bony_drift_pairing``, and no command runs it.
+Everything else multiplies through ``dealiased_products``, which pairs the
+rows of two coefficient stacks (a whole time path at once) in chunks.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .grid import (GridError, SpectralField, TorusGrid, _padded_samples,
 from .lp import DyadicPartition, dyadic_partition
 
 __all__ = ["BonyProduct", "bony_product", "drift_samples", "drift_term",
-           "drift_terms", "dealiased_product"]
+           "drift_terms", "dealiased_product", "dealiased_products"]
 
 
 @functools.lru_cache(maxsize=8)
@@ -126,12 +125,12 @@ def bony_product(f: SpectralField, alpha: float, g: SpectralField,
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product computed on the 2x grid, truncated to the band."""
+    """Pointwise product of two scalar fields computed on the 2x grid,
+    truncated to the band (one row of ``dealiased_products``)."""
     if f.grid != g.grid:
         raise GridError("dealiased_product: fields on different grids")
-    prod = (_padded_samples(f.coeffs, f.grid, 2)
-            * _padded_samples(g.coeffs, g.grid, 2))
-    return SpectralField(f.grid, _truncate_to_grid(prod, f.grid))
+    return SpectralField(f.grid, dealiased_products(
+        f.coeffs[None, None], g.coeffs[None, None], f.grid)[0])
 
 
 def drift_samples(b: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -142,22 +141,28 @@ def drift_samples(b: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def drift_terms(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
                 b_samples: np.ndarray = None) -> np.ndarray:
-    """``drift_term`` of every row pair of two ``(N, d) + grid`` stacks.
-
-    Row i of the ``(N,) + grid`` result holds the coefficients of
-    w_i . b_i.  Rows are paired ``chunk_rows`` at a time, sized so that
-    both factors' 2x-grid samples fit in ``CHUNK_BYTES`` (a budget for one
-    factor raised the 1D benchmark's peak RSS by ~1 MB): each chunk is
-    sampled by one padded-sample call per factor, multiplied, summed over
-    components and truncated in one batch.  ``b_samples``, when given, is
-    ``drift_samples(b, grid)``: a caller pairing many stacks with one
-    b samples it once.
-    """
+    """``drift_term`` of every row pair of two ``(N, d) + grid`` stacks:
+    their ``dealiased_products``.  ``b_samples``, when given, is
+    ``drift_samples(b, grid)``: a caller pairing many stacks with one b
+    samples it once."""
     if w.shape != b.shape or w.shape[1:] != (grid.d,) + grid.shape:
         raise GridError(
             f"drift_terms needs two (N, {grid.d}) + {grid.shape} stacks, "
             f"got {w.shape} and {b.shape}")
-    rows = chunk_rows((2 * grid.d,) + grid.shape, grid)
+    return dealiased_products(w, b, grid, b_samples)
+
+
+def dealiased_products(w: np.ndarray, b: np.ndarray, grid: TorusGrid,
+                       b_samples: np.ndarray = None) -> np.ndarray:
+    """Row i of the ``(N,) + grid`` result is the dealiased product of rows
+    i of two ``(N, c) + grid`` stacks, summed over the c components.
+
+    Rows are paired ``chunk_rows`` at a time, sized so that both factors'
+    2x-grid samples fit in ``CHUNK_BYTES`` (a budget for one factor raised
+    the 1D benchmark's peak RSS by ~1 MB): one padded-sample call per
+    factor (or ``b_samples``), one multiply and one truncation a chunk.
+    """
+    rows = chunk_rows((2 * w.shape[1],) + grid.shape, grid)
     out = np.empty((len(w),) + grid.shape, dtype=complex)
     for lo in range(0, len(w), rows):
         prod = _padded_samples(w[lo:lo + rows], grid, 2)

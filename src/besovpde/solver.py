@@ -27,7 +27,7 @@ once and each node is one matrix-vector product.
 Time integrals use per-mode exact integration of the exponential kernel
 against a linearly interpolated integrand (a stiffness-uniform O(dt^2)
 composite rule), accumulated by one backward sweep with exact semigroup
-propagation between nodes.  For lam * dt above a configurable threshold
+propagation between nodes.  For lam * dt above a fixed threshold
 the lam-term moves from the integrand into the kernel; both forms are
 consistent discretizations of the same mild solution and the one not used
 for iteration serves as an independent residual check.
@@ -120,6 +120,13 @@ CERTIFICATE_RATIOS = 4
 # 125 ms.
 DENSE_MARCH_MAX_UNKNOWNS = 256
 
+# An iterative-march node whose local increment stops decreasing has
+# settled only within this factor of the rounding floor; above, it diverges.
+STALL_FACTOR = 1024
+
+# lam * dt above which lambda_kernel = "auto" moves lam into the kernel.
+LAMBDA_KERNEL_THRESHOLD = 0.5
+
 
 class PicardError(SolverError):
     def __init__(self, message, ratios):
@@ -152,7 +159,6 @@ class SolverConfig:
     tol_fix: float = 1e-10
     max_iter: int = 60
     lambda_kernel: str = "auto"  # auto | never | always
-    lambda_kernel_threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
@@ -184,11 +190,9 @@ class SolverConfig:
         return self.T / self.M
 
     def uses_lambda_kernel(self) -> bool:
-        if self.lambda_kernel == "always":
-            return True
-        if self.lambda_kernel == "never":
-            return False
-        return self.lam * self.dt > self.lambda_kernel_threshold
+        if self.lambda_kernel == "auto":
+            return self.lam * self.dt > LAMBDA_KERNEL_THRESHOLD
+        return self.lambda_kernel == "always"
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,11 +487,11 @@ def _march_iterative(op: _Operator, max_steps: int, history):
     With c_m the explicit part, x <- c_m + w_left q_m(x) is iterated from a
     predictor (q_m extrapolated from the two nodes after m) until the
     coefficient increment reaches the rounding floor, 8 eps max|x|, or
-    stops decreasing.  Each step pairs through ``drift_terms`` with node
-    m's drift samples, which are taken once per node.  Returns the
-    periodic stack and the number of local steps; a node that goes
-    non-finite or does not settle in ``max_steps`` raises ``PicardError``
-    with ``history`` as its ratios.
+    stops decreasing within ``STALL_FACTOR`` times that floor.  Each step
+    pairs through ``drift_terms`` with node m's drift samples (``b_samples``
+    for a static drift).  Returns the periodic stack and the number of
+    local steps; a node that diverges, goes non-finite or does not settle
+    in ``max_steps`` raises ``PicardError`` with ``history`` as its ratios.
     """
     data, cfg, g = op.data, op.cfg, op.data.grid
     b, source, slopes = data.b.coeffs, data.g.coeffs, op.slopes
@@ -500,15 +504,20 @@ def _march_iterative(op: _Operator, max_steps: int, history):
             q = q - cfg.lam * x
         return q - source[m]
 
+    def node_samples(m):
+        if op.b_samples is not None:
+            return op.b_samples[m:m + 1]
+        return drift_samples(b[m:m + 1], g)
+
     floor = 8.0 * np.finfo(float).eps
     v = np.empty_like(op.free)
     v[-1] = op.free[-1]
-    samples = drift_samples(b[-1:], g)
+    samples = node_samples(len(v) - 1)
     steps = 0
     q_after = None
     for m in range(len(v) - 2, -1, -1):
         q_next = node_integrand(m + 1, v[m + 1], samples)
-        samples = drift_samples(b[m:m + 1], g)
+        samples = node_samples(m)
         c = decay * v[m + 1] + w_right * q_next
         # q_m extrapolated linearly from the two nodes after m: about
         # 15% fewer local steps than the predictor q_m ~ q_(m+1)
@@ -525,8 +534,14 @@ def _march_iterative(op: _Operator, max_steps: int, history):
                     f"non-finite iterate at node {m} (t = "
                     f"{data.b.t_grid[m]:.6g}) in local step {k}; the "
                     "march diverged", history)
-            if inc <= floor * float(np.abs(x).max()) or inc >= prev:
+            rounding = floor * float(np.abs(x).max())
+            if inc <= rounding or rounding * STALL_FACTOR >= inc >= prev:
                 break
+            if inc >= prev:
+                raise PicardError(
+                    f"node {m} (t = {data.b.t_grid[m]:.6g}) diverges: local "
+                    f"step {k} moved it by {inc:.3e} after {prev:.3e}, above "
+                    f"{STALL_FACTOR} times the rounding floor", history)
             prev = inc
         else:
             raise PicardError(

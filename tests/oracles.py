@@ -16,6 +16,7 @@ from besovpde import (
     AffinePeriodicField,
     SpectralField,
     TimeField,
+    apply_heat,
     apply_T,
     besov_norm,
     bony_product,
@@ -25,9 +26,9 @@ from besovpde import (
     evaluate_at,
     gradient,
 )
-from besovpde.calibration import contraction_constant
+from besovpde.calibration import contraction_constant, pair_key
 from besovpde.grid import _embed_axis, _padded_samples
-from besovpde.lp import c1plus_norms, dc_norms, rho_time_norm_log
+from besovpde.lp import _ring_labels, c1plus_norms, dc_norms, rho_time_norm_log
 from besovpde.solver import (
     DIVERGENCE_STREAK,
     PicardError,
@@ -584,3 +585,158 @@ def picard_solve(data, cfg, part=None, calibration=None, v0=None,
         result.weak_residual = report.residual
         result.weak_tolerance = report.tolerance
     return result
+
+
+# ---------------------------------------------------------------------------
+# calibration one field, one time and one pair at a time
+
+
+def ring_loop_random_field(grid, gamma, seed, part):
+    """``lp.dyadic_random_field`` of a scalar with amplitude 1, each ring's
+    sup norm measured on its own."""
+    labels = _ring_labels(grid, part.j_max)
+    rng = np.random.default_rng(seed)
+    white = np.fft.fftn(rng.standard_normal(grid.shape)) / grid.n**grid.d
+    acc = np.zeros(grid.shape, dtype=complex)
+    for j in range(-1, part.j_max + 1):
+        mask = labels == j
+        if not mask.any():
+            continue
+        ring = white * mask
+        sup = SpectralField(grid, ring).sup_norm()
+        if sup == 0.0:
+            continue
+        acc += ring * (1.0 * 2.0 ** (-j * gamma) / sup)
+    return SpectralField(grid, acc)
+
+
+def per_field_calibration(grid, beta, eps, seed, pairs=16, n_fields=16):
+    """The constants of ``calibration.calibrate``, measured field by field:
+    one ``besov_norm`` or ``dc_norm`` call per field and time, and each
+    product through the Bony sum, ``bony_product(...).total``.
+
+    Like ``bony_drift_pairing`` this reference runs package code: it is the
+    per-field calibration that the stacked one replaced, with the same
+    seeds, kept as the reference for it.
+    """
+    part = dyadic_partition(grid)
+    alpha = beta + eps / 2.0
+    theta = (1.0 + 2.0 * beta - eps) / 2.0
+
+    def fields(gamma, key, count):
+        ss = np.random.SeedSequence((seed,) + key)
+        return [ring_loop_random_field(grid, gamma, s, part)
+                for s in ss.spawn(count)]
+
+    def norm(f, gamma):
+        return besov_norm(f, gamma, part).value
+
+    t_samples = np.geomspace(1e-3, 0.2, 12)
+    sample = fields(-beta + eps, (11, 0), n_fields)
+    ratios = [max(norm(apply_heat(t, f), -beta + eps + 2 * theta)
+                  / norm(f, -beta + eps) for f in sample)
+              for t in t_samples]
+    schauder = float(np.max(np.asarray(ratios) * t_samples**theta))
+
+    def bony(a, b, key):
+        ss = np.random.SeedSequence((seed,) + key).spawn(2 * pairs)
+        worst = 0.0
+        for i in range(pairs):
+            f = ring_loop_random_field(grid, a, ss[2 * i], part)
+            g = ring_loop_random_field(grid, -b, ss[2 * i + 1], part)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                total = bony_product(f, a, g, b, part).total
+            worst = max(worst, norm(total, -b) / (norm(f, a) * norm(g, -b)))
+        return worst
+
+    bern = max(norm(gradient(f), beta) / norm(f, beta + 1.0)
+               for f in fields(beta + 1.0, (17, 1), n_fields))
+
+    mesh = TimeField.uniform_mesh(1.0, 64)
+    mu = 0.5 * grid.k_squared()
+    tails = (1.0 - mesh).reshape((65,) + (1,) * grid.d)
+    safe = np.where(mu > 0, mu, 1.0)
+    kernel = np.where(mu > 0, -np.expm1(-mu * tails) / safe, tails)
+    conv = 0.0
+    for ell0 in fields(-beta, (19,), 6):
+        x_norms = dc_norms(np.zeros((65, grid.d)), kernel * ell0.coeffs,
+                           alpha, part)
+        den = math.log(norm(ell0, -beta))
+        for rho in (1.0, 4.0, 16.0, 64.0):
+            num = rho_time_norm_log(x_norms, mesh, rho)
+            scale = 0.5 * (alpha + beta - 1.0) * math.log(rho)
+            conv = max(conv, math.exp(num - den - scale))
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 23)))
+    stab = 0.0
+    for p in fields(alpha + 1.0, (23,), 8):
+        h = AffinePeriodicField(rng.normal(size=grid.d), p)
+        base = dc_norm(h, alpha, part)
+        for s in np.linspace(0.0, 1.0, 9):
+            stab = max(stab, dc_norm(apply_heat(s, h), alpha, part) / base)
+
+    out = {"schauder": {pair_key(-beta + eps, theta): schauder},
+           "bony": {pair_key(alpha, beta): bony(alpha, beta, (13, 0))},
+           "bernstein_ineq": {pair_key(beta): bern},
+           "convolution": conv, "dc_stability": stab}
+    if beta - eps > 0:
+        out["bony"][pair_key(beta, beta - eps)] = bony(beta, beta - eps,
+                                                       (13, 2))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# a problem with a known answer
+
+
+def manufactured_problem(grid, M, lam, T=0.5, affine=True, modulated=False,
+                         seed=3, pairing="dealiased"):
+    """Data whose solution is known: v = a(t) . x + p(t, x) under a
+    ``gen_drift`` C^-0.3 drift.
+
+    p is three low modes, each with a smooth time factor cos(w t + phi),
+    and a(t) = a_T exp(-lam (T - t)) the closed-form slope (a_T = 0 for
+    periodic data).  The source is g = d_t p + (1/2) Lap p + (a + grad p)
+    . b - lam p at the mesh nodes, with the drift pairing taken by
+    ``drift_terms`` (``pairing="dealiased"``, as the solver pairs) or by
+    ``bony_drift_pairing`` (``"bony"``).  Returns the ``PDEData`` and the
+    exact periodic coefficients of v at the nodes, ``(M+1,) + grid``.
+    """
+    from besovpde import DriftSpec, PDEData, gen_drift, to_fourier
+    from besovpde.grid import gradient_stack
+    from besovpde.paraproduct import drift_terms
+
+    mesh = TimeField.uniform_mesh(T, M)
+    xs = np.meshgrid(*[grid.axis_points()] * grid.d, indexing="ij")
+    modes = np.array([to_fourier(f, grid).coeffs for f in (
+        np.sin(xs[0]), np.cos(2.0 * xs[-1]), np.sin(xs[0] + xs[-1]))])
+    omega = np.array([2.0, 3.0, 1.5])
+    phase = np.array([0.3, 1.0, 0.0])
+    arg = omega * mesh[:, None] + phase
+    factor, rate = np.cos(arg), -omega * np.sin(arg)
+    exact = np.tensordot(factor, modes, axes=1)
+    d_t = np.tensordot(rate, modes, axes=1)
+    a_T = np.zeros(grid.d)
+    if affine:
+        a_T[0] = 0.5
+    slopes = np.array([a_T * math.exp(-lam * (T - t)) for t in mesh])
+    spec = DriftSpec(kind="dyadic-random", amplitude=1.0, regularity=0.3,
+                     seed=seed, time_dependence=("modulated" if modulated
+                                                 else "static"))
+    b = gen_drift(spec, grid, mesh)
+    w = gradient_stack(exact, grid, slopes)
+    if pairing == "bony":
+        paired = np.array([
+            bony_drift_pairing(SpectralField(grid, w[m]),
+                               SpectralField(grid, b.coeffs[m]), 0.6,
+                               0.3).coeffs
+            for m in range(M + 1)])
+    else:
+        paired = drift_terms(w, b.coeffs, grid)
+    source = d_t - 0.5 * grid.k_squared() * exact + paired - lam * exact
+    v_T = SpectralField(grid, exact[-1])
+    if affine:
+        v_T = AffinePeriodicField(a_T, v_T)
+    data = PDEData(b=b, g=TimeField.from_stacks(mesh, grid, source), v_T=v_T)
+    return data, exact

@@ -216,6 +216,31 @@ def test_study_bony_command(calibrated):
     assert meta["spread"] <= 0.5
 
 
+def test_cli_paths_run_without_the_bony_split(tmp_path, monkeypatch):
+    # calibration, solves and the product study pair through the plain
+    # dealiased product: with every binding of bony_product raising, they
+    # still succeed
+    import sys
+    from besovpde import paraproduct
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("bony_product ran on a CLI path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "besovpde":
+            for attr, value in vars(module).items():
+                if value is paraproduct.bony_product:
+                    monkeypatch.setattr(module, attr, no_split)
+    conf = write(tmp_path, BASE + "study.seeds = 2\n")
+    phi_conf = write(tmp_path, BASE + 'lambda.policy = "auto-threshold"\n',
+                     "phi.txt")
+    cal = str(tmp_path / "cal.json")
+    for cmd, path in (("calibrate", conf), ("solve", conf),
+                      ("build-phi", phi_conf), ("study-bony", conf)):
+        assert main([cmd, "--config", str(path), "--out",
+                     str(tmp_path / cmd), "--calibration", cal]) == 0, cmd
+
+
 def test_study_continuity_commands(calibrated):
     tmp, conf, cal = calibrated
     small = write(tmp, BASE + "study.eps_pow_lo = 3\nstudy.eps_pow_hi = 5\n"

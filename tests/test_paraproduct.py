@@ -57,6 +57,27 @@ def test_total_equals_dealiased_product_rough(grid128, part128):
     assert (bp.total - dealiased_product(f, g)).sup_norm() < 1e-10
 
 
+@pytest.mark.parametrize("d, n, rows", [(1, 128, 40), (2, 32, 5)])
+def test_stacked_products_match_one_row_products(d, n, rows):
+    # dealiased_products of one-component stacks, chunks of grid.chunk_rows rows
+    # (32 in 1D, 2 in 2D here), against one product per row as a single
+    # field, padded and truncated on its own: bit for bit
+    grid = TorusGrid(d=d, n=n)
+    part = dyadic_partition(grid)
+    f = np.array([dyadic_random_field(grid, 0.35, (5, i), part=part).coeffs
+                  for i in range(rows)])
+    g = np.array([dyadic_random_field(grid, -0.3, (6, i), part=part).coeffs
+                  for i in range(rows)])
+    stacked = paraproduct.dealiased_products(f[:, None], g[:, None], grid)
+    for a, b, c in zip(f, g, stacked):
+        one = paraproduct._truncate_to_grid(
+            _padded_samples(a, grid, 2) * _padded_samples(b, grid, 2), grid)
+        assert np.array_equal(c, one)
+        assert np.array_equal(
+            dealiased_product(SpectralField(grid, a),
+                              SpectralField(grid, b)).coeffs, one)
+
+
 def test_paraproduct_ring_geometry(grid256, part256):
     # block-3 f against a block-6 g: only the low-high paraproduct sees the
     # pair, and its content stays in rings adjacent to block 6

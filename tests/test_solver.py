@@ -47,6 +47,7 @@ from oracles import (
     complex_padded_samples,
     convolution_constant_by_apply_T,
     gamma_by_quadrature,
+    manufactured_problem,
     mol_reference_1d,
     pack,
     per_node_apply_T,
@@ -805,12 +806,9 @@ def test_dense_march_solve_matches_the_picard_oracle(grid64, part64, case,
 
 
 def _pairing_without_drift_samples(w, b, grid, b_samples=None):
-    """``drift_terms`` sampling b chunk by chunk, except in the iterative
-    march's one-row calls: the pairing as the solver made it before the
-    drift was sampled once per solve."""
-    if len(w) > 1:
-        b_samples = None
-    return paraproduct_mod.drift_terms(w, b, grid, b_samples=b_samples)
+    """``drift_terms`` sampling b chunk by chunk in every call: the pairing
+    as the solver made it before the drift was sampled once per solve."""
+    return paraproduct_mod.drift_terms(w, b, grid)
 
 
 @pytest.mark.parametrize("case, march", [
@@ -821,10 +819,12 @@ def _pairing_without_drift_samples(w, b, grid, b_samples=None):
 def test_march_gate_and_drift_sampled_once(grid128, part128, monkeypatch,
                                            case, march):
     # a static drift on at most DENSE_MARCH_MAX_UNKNOWNS points takes the
-    # dense march, sampling the drift once; a larger grid or a drift that
-    # varies in time marches by local steps.  The static samples, shared
-    # by every pairing, give the bytes of the pairing that samples b chunk
-    # by chunk: the same Picard prefix, march and certificate, bit for bit
+    # dense march, a larger grid or a drift that varies in time marches by
+    # local steps.  A static drift is sampled once per solve, whichever
+    # march it takes; a modulated one once per node in the march.  The
+    # static samples, shared by every pairing, give the bytes of the
+    # pairing that samples b chunk by chunk: the same Picard prefix, march
+    # and certificate, bit for bit
     if case == "solve-1d-shaped":
         data, part = _affine_rough_1d(grid128, part128, M=64), part128
     elif case == "above-gate-1d":
@@ -846,10 +846,11 @@ def test_march_gate_and_drift_sampled_once(grid128, part128, monkeypatch,
     fast = solve_mild(data, cfg, part=part)
     assert fast.march == fast.manifest()["march"] == march
     if march == "dense":
-        assert sampled == [1]
         assert fast.march_steps == cfg.M
     else:
         assert fast.march_steps > cfg.M
+    assert sampled == ([1] * (cfg.M + 1) if case == "modulated-2d"
+                       else [1])
     monkeypatch.setattr(solver, "drift_terms",
                         _pairing_without_drift_samples)
     slow = solve_mild(data, cfg, part=part)
@@ -858,6 +859,24 @@ def test_march_gate_and_drift_sampled_once(grid128, part128, monkeypatch,
                  "error_bound", "quad_tolerance", "weak_residual"):
         assert getattr(fast, name) == getattr(slow, name), name
     assert np.array_equal(fast.v.coeffs, slow.v.coeffs)
+
+
+def test_diverging_march_node_is_named():
+    # lam dt = 6.25 in the integrand: every node's local steps diverge, and
+    # the first node stops on its second step, where the increment grows,
+    # not as settled (the dense march solves this problem to 2e-5)
+    grid = TorusGrid(d=1, n=128)
+    data, exact = manufactured_problem(grid, 16, 200.0)
+    cfg = SolverConfig(beta=0.3, eps=0.1, T=0.5, M=16, lam=200.0, rho=8.0,
+                       lambda_kernel="never")
+    op = solver._operator(data, cfg, False)
+    with pytest.raises(PicardError, match=r"node 15 \(t = 0\.46875\) "
+                       r"diverges: local step 2 moved it by .* above 1024 "
+                       "times the rounding floor") as err:
+        solver._march_iterative(op, cfg.max_iter, ["history"])
+    assert err.value.ratios == ["history"]
+    dense, _ = solver._march_dense(op, [])
+    assert grid_mod.sup_norms(dense - exact, grid).max() < 1e-4
 
 
 def test_singular_node_operator_is_named(grid64, part64, monkeypatch):
