@@ -24,7 +24,7 @@ from .grid import (
     sup_norms,
     to_fourier,
 )
-from .heat import HeatMultiplier, apply_heat
+from .heat import apply_heat, heat_weights
 from .lp import (
     DyadicPartition,
     _bump_integral,
@@ -124,7 +124,7 @@ def gen_drift(spec: DriftSpec, grid: TorusGrid, t_grid,
 def mollify_timefield(tf: TimeField, eps: float) -> TimeField:
     """Heat-kernel mollification of every node: one multiply of the
     coefficient stack by the heat weights; affine slopes are untouched."""
-    weights = HeatMultiplier(tf.grid, eps).weights
+    weights = heat_weights(tf.grid, eps)
     return TimeField.from_stacks(tf.t_grid, tf.grid, tf.coeffs * weights,
                                  tf.slopes)
 
@@ -169,9 +169,8 @@ def monotone_decreasing(values, inversions_allowed: int = 1) -> bool:
     return ups <= inversions_allowed
 
 
-def _solve(data, cfg, part, v0=None):
-    return solve_mild(data, cfg, part=part, v0=v0,
-                      compute_weak_residual=False)
+def _solve(data, cfg, part):
+    return solve_mild(data, cfg, part=part, compute_weak_residual=False)
 
 
 def continuity_study_v(b: TimeField, g: TimeField, v_T, cfg: SolverConfig,

@@ -310,8 +310,7 @@ def _padded_samples(coeffs: np.ndarray, grid: TorusGrid,
     transformed together.  Axis Nyquist coefficients are split evenly
     between +-n/2 so that the samples stay real and the original grid
     points are reproduced.  The one kernel behind every sampling on the
-    refined grid: sup norms, block sup norms, the dealiased products and
-    the Bony blocks.
+    refined grid: sup norms, block sup norms and the dealiased products.
 
     The samples come from a real inverse transform of the half spectrum
     on the last axis: modes 0..n/2-1, the coarse Nyquist halved into slot

@@ -16,74 +16,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (AffinePeriodicField, SpectralField, TorusGrid, evaluate_at,
-                   gradient, gradient_stack)
-from .lp import (DyadicPartition, besov_norms, dc_norm, dc_norms,
-                 dyadic_partition)
+from .grid import AffinePeriodicField, SpectralField, TorusGrid, gradient_stack
+from .lp import DyadicPartition, besov_norms, dc_norms, dyadic_partition
 
 __all__ = [
-    "HeatMultiplier",
+    "heat_weights",
     "apply_heat",
-    "grad_heat",
     "EstimateReport",
     "schauder_fit",
     "heat_increment_fit",
     "bernstein_check",
     "dc_stability_check",
-    "dc_time_continuity_fit",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class HeatMultiplier:
-    """Per-mode weights exp(-t |k|^2 / 2) for one grid and time."""
-
-    grid: TorusGrid
-    t: float
-    weights: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"heat time must be nonnegative, got t={self.t}")
-        if self.weights is None:
-            w = np.exp(-0.5 * self.t * self.grid.k_squared())
-            object.__setattr__(self, "weights", w)
-
-    def __call__(self, f):
-        return apply_field(self, f)
-
-
-def apply_field(mult: HeatMultiplier, f):
-    if isinstance(f, AffinePeriodicField):
-        # the affine part a.x is harmonic and drift-free, so the semigroup
-        # leaves the slope untouched and smooths only the periodic part
-        return AffinePeriodicField(f.slope, apply_field(mult, f.periodic))
-    if f.grid != mult.grid:
-        raise ValueError("field and multiplier grids differ")
-    return SpectralField(f.grid, f.coeffs * mult.weights)
+def heat_weights(grid: TorusGrid, t: float) -> np.ndarray:
+    """Per-mode weights exp(-t |k|^2 / 2) of P_t on one grid; t >= 0."""
+    if t < 0:
+        raise ValueError(f"heat time must be nonnegative, got t={t}")
+    return np.exp(-0.5 * t * grid.k_squared())
 
 
 def apply_heat(t: float, f):
     """P_t f for a SpectralField or AffinePeriodicField; t >= 0."""
-    grid = f.grid
-    return apply_field(HeatMultiplier(grid, t), f)
-
-
-def grad_heat(t: float, g: SpectralField, tol: float = 1e-12) -> SpectralField:
-    """grad(P_t g), computed along both orders and checked to agree.
-
-    The multiplier realizations of P_t and grad commute exactly in exact
-    arithmetic; the dual-path check guards the implementation.
-    """
-    if t <= 0:
-        raise ValueError(f"grad_heat needs t > 0, got t={t}")
-    a = gradient(apply_heat(t, g))
-    b = apply_heat(t, gradient(g))
-    gap = np.abs(a.coeffs - b.coeffs).max()
-    scale = max(np.abs(a.coeffs).max(), 1.0)
-    if gap > tol * scale:
-        raise AssertionError(f"grad/heat commutation violated: {gap:.3e}")
-    return a
+    if isinstance(f, AffinePeriodicField):
+        # the affine part a.x is harmonic and drift-free, so the semigroup
+        # leaves the slope untouched and smooths only the periodic part
+        return AffinePeriodicField(f.slope, apply_heat(t, f.periodic))
+    return SpectralField(f.grid, f.coeffs * heat_weights(f.grid, t))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +130,7 @@ def _stack(fields, part):
 
 def _heat_path(stack, times, part):
     """``apply_heat`` of every row of a stack, one stack per time."""
-    return (stack * HeatMultiplier(part.grid, t).weights for t in times)
+    return (stack * heat_weights(part.grid, t) for t in times)
 
 
 def schauder_fit(gamma: float, theta: float, fields, t_samples,
@@ -232,35 +192,3 @@ def dc_stability_check(alpha: float, fields, s_samples,
     base = dc_norms(slopes, coeffs, alpha, part)
     return float(np.max([dc_norms(slopes, p, alpha, part) / base
                          for p in _heat_path(coeffs, s_samples, part)]))
-
-
-def dc_time_continuity_fit(alpha: float, nu: float, fields, eps_samples,
-                           part: DyadicPartition = None):
-    """Fit ||P_eps h - h||_{DC^alpha} against eps for h of regularity alpha+nu.
-
-    Returns the EstimateReport (expected slope (nu ^ 1)/2) together with the
-    worst trace-term margin |P_eps h(0) - h(0)| / (sqrt(2/pi) eps^(1/2)
-    ||grad h||_inf), whose bound is exact in one dimension.
-    """
-    fields = list(fields)
-    base = [dc_norm(h, alpha + nu, part) for h in fields]
-    origin = np.zeros(fields[0].grid.d)
-    ratios, trace_margin = [], 0.0
-    for eps in eps_samples:
-        top = 0.0
-        for h, b in zip(fields, base):
-            smoothed = apply_heat(eps, h)
-            diff = smoothed - h
-            top = max(top, dc_norm(diff, alpha, part) / b)
-            trace = abs(float(evaluate_at(smoothed, origin)
-                              - evaluate_at(h, origin)))
-            grad_sup = h.gradient_field().sup_norm()
-            bound = math.sqrt(2.0 / math.pi) * math.sqrt(eps) * grad_sup
-            if bound > 0:
-                trace_margin = max(trace_margin, trace / bound)
-        ratios.append(top)
-    report = _loglog_fit(f"dc_time_continuity(alpha={alpha:g},nu={nu:g})",
-                         eps_samples, ratios,
-                         expected=min(nu, 1.0) / 2.0,
-                         envelope_exp=-min(nu, 1.0) / 2.0)
-    return report, trace_margin

@@ -1,10 +1,12 @@
-"""Dyadic partition of unity, block decomposition, and norm estimators.
+"""Dyadic partition of unity and the block norm estimators built on it.
 
 The partition follows the standard telescoping construction: a radial
 cutoff chi equal to 1 below ring radius 3/4 and 0 above 4/3, with
 phi_{-1}(k) = chi(r) and phi_j(k) = chi(r/2^{j+1}) - chi(r/2^j), where
 r = |k| L / (2 pi).  The windows sum to 1 on every lattice frequency by
-construction; ring supports are [3/4 * 2^j, 8/3 * 2^j].
+construction; ring supports are [3/4 * 2^j, 8/3 * 2^j].  The block
+Delta_j f has the coefficients ``f.coeffs * part.window(j)``, so
+``f.coeffs * part.windows`` stacks every block of f.
 
 The norms are computed on coefficient stacks ``(N,) + comp_shape + grid``:
 ``block_sup_stack`` returns the (N, J+2) block sup norms of N fields,
@@ -36,28 +38,20 @@ from .grid import (
 __all__ = [
     "DyadicPartition",
     "dyadic_partition",
-    "LPDecomposition",
     "BesovNorm",
-    "lp_blocks",
     "block_sup_stack",
     "besov_norm",
     "besov_norms",
-    "holder_norm",
     "dc_norm",
     "dc_norms",
     "c1plus_norm",
     "c1plus_norms",
     "rho_time_norm_log",
     "dyadic_random_field",
-    "interior_mode_field",
 ]
 
 RING_LOW = 0.75
 RING_HIGH = 4.0 / 3.0
-
-# fixed internal seed for the Holder pair-sampling offsets; the norm must be
-# a deterministic function of the field
-_HOLDER_SAMPLING_SEED = 1618
 
 
 def _bump_integral(s: np.ndarray) -> np.ndarray:
@@ -122,34 +116,6 @@ def dyadic_partition(grid: TorusGrid) -> DyadicPartition:
         windows[j + 1] = chi_next - chi_prev
         chi_prev = chi_next
     return DyadicPartition(grid=grid, j_max=j_max, windows=windows)
-
-
-@dataclass(frozen=True, eq=False)
-class LPDecomposition:
-    """The dyadic block sequence (Delta_j f)_j under a fixed partition."""
-
-    partition: DyadicPartition
-    blocks: list
-
-    @property
-    def j_indices(self) -> np.ndarray:
-        return self.partition.j_indices
-
-    def reconstruct(self) -> SpectralField:
-        total = self.blocks[0]
-        for b in self.blocks[1:]:
-            total = total + b
-        return total
-
-
-def lp_blocks(f: SpectralField, part: DyadicPartition = None) -> LPDecomposition:
-    """Cut a field into its dyadic blocks Delta_j f."""
-    if part is None:
-        part = dyadic_partition(f.grid)
-    if part.grid != f.grid:
-        raise GridError("field and partition live on different grids")
-    blocks = [SpectralField(f.grid, f.coeffs * w) for w in part.windows]
-    return LPDecomposition(partition=part, blocks=blocks)
 
 
 def block_sup_stack(coeffs: np.ndarray, part: DyadicPartition,
@@ -217,73 +183,6 @@ def besov_norms(coeffs: np.ndarray, gamma: float,
     """``besov_norm(f, gamma, part).value`` of every row of a stack."""
     ledger = 2.0 ** (part.j_indices * gamma) * block_sup_stack(coeffs, part)
     return ledger.max(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Holder norm via structured pair sampling
-
-
-def _holder_offsets(grid: TorusGrid):
-    """Offset vectors (in cells) at dyadic axis separations plus 64 seeded
-    random directions, all with torus distance below min(1, L/2)."""
-    n, d, dx = grid.n, grid.d, grid.dx
-    h_cap = min(1.0, grid.L / 2.0)
-    c_cap = n // 2
-    offsets = []
-    # dyadic cell counts per axis, plus the largest admissible separation
-    counts = []
-    c = 1
-    while c <= c_cap and c * dx < h_cap:
-        counts.append(c)
-        c *= 2
-    top = min(c_cap, int(math.ceil(h_cap / dx)) - 1)
-    if top >= 1 and top not in counts:
-        counts.append(top)
-    for ax in range(d):
-        for c in counts:
-            vec = np.zeros(d, dtype=int)
-            vec[ax] = c
-            offsets.append(vec)
-    rng = np.random.default_rng(_HOLDER_SAMPLING_SEED)
-    tries = 0
-    added = 0
-    while added < 64 and tries < 2000:
-        tries += 1
-        vec = rng.integers(-c_cap, c_cap, size=d, endpoint=True)
-        wrapped = (vec + n // 2) % n - n // 2
-        dist = dx * np.linalg.norm(wrapped)
-        if dist == 0.0 or dist >= h_cap:
-            continue
-        offsets.append(np.asarray(wrapped, dtype=int))
-        added += 1
-    return offsets
-
-
-def _pointwise_magnitude(vals: np.ndarray, comp_shape: tuple, d: int):
-    if comp_shape:
-        flat = vals.reshape((-1,) + vals.shape[-d:])
-        return np.sqrt(np.sum(flat**2, axis=0))
-    return np.abs(vals)
-
-
-def holder_norm(f: SpectralField, gamma: float) -> float:
-    """Classical Holder norm, gamma in (0, 1): sup norm plus the seminorm
-    sup |f(x) - f(y)| / |x - y|^gamma over sampled grid pairs with torus
-    distance below 1."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"holder_norm needs gamma in (0,1), got {gamma}")
-    g = f.grid
-    vals = f.samples()
-    sup = float(_pointwise_magnitude(vals, f.comp_shape, g.d).max())
-    semi = 0.0
-    space_axes = tuple(range(vals.ndim - g.d, vals.ndim))
-    for vec in _holder_offsets(g):
-        wrapped = (vec + g.n // 2) % g.n - g.n // 2
-        h = g.dx * float(np.linalg.norm(wrapped))
-        diff = vals - np.roll(vals, shift=tuple(vec), axis=space_axes)
-        top = float(_pointwise_magnitude(diff, f.comp_shape, g.d).max())
-        semi = max(semi, top / h**gamma)
-    return sup + semi
 
 
 def dc_norm(f: AffinePeriodicField, alpha: float,
@@ -389,50 +288,3 @@ def dyadic_random_field(grid: TorusGrid, gamma: float, seed,
                 acc += ring * (amplitude * 2.0 ** (-j * gamma) / sup)
         out[comp] = acc
     return SpectralField(grid, out)
-
-
-def interior_mode_field(grid: TorusGrid, block_targets: dict, seed,
-                        part: DyadicPartition = None) -> SpectralField:
-    """Field whose listed blocks have exactly the requested sup norms.
-
-    Each block is realized by a single cosine mode at a radius interior to
-    exactly one analysis window (4/3 * 2^j < r < 3/2 * 2^j), so the window
-    weight is 1 and the block equals the constructed mode.  Raises if some
-    requested block has no interior lattice radius at this resolution.
-    """
-    if part is None:
-        part = dyadic_partition(grid)
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    for j, target in sorted(block_targets.items()):
-        r = _interior_radius(grid, j)
-        if r is None:
-            raise ValueError(
-                f"block {j} has no single-window lattice radius at n={grid.n}"
-            )
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        idx_pos = (r,) + (0,) * (grid.d - 1)
-        idx_neg = (grid.n - r,) + (0,) * (grid.d - 1)
-        coeffs[idx_pos] += 0.5 * np.exp(1j * theta)
-        coeffs[idx_neg] += 0.5 * np.exp(-1j * theta)
-        f_j = SpectralField(grid, coeffs * part.window(j))
-        # measure on the same refined grid the norm estimators use, so the
-        # forced block norms are exact under besov_norm
-        sup = f_j.sup_norm(refine=2)
-        scale = target / sup
-        coeffs[idx_pos] *= scale
-        coeffs[idx_neg] *= scale
-    return SpectralField(grid, coeffs)
-
-
-def _interior_radius(grid: TorusGrid, j: int):
-    lo = (8.0 / 3.0) * 2.0 ** (j - 1)
-    hi = 1.5 * 2.0**j
-    for r in range(int(math.floor(lo)) + 1, int(math.ceil(hi))):
-        if lo < r < hi and r <= grid.n // 2 - 1:
-            if r % 2 == 1:  # odd radii give dense phase coverage when refined
-                return r
-    for r in range(int(math.floor(lo)) + 1, int(math.ceil(hi))):
-        if lo < r < hi and r <= grid.n // 2 - 1:
-            return r
-    return None

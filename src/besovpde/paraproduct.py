@@ -1,35 +1,30 @@
-"""Pointwise products on the torus: the dealiased product and its Bony split.
+"""Pointwise products on the torus: the dealiased product and the drift
+pairing built on it.
 
-The product of f and g splits into two paraproducts and a resonant part:
-block pairs (i, j) with i <= j-2 (low f times high g), j <= i-2, and
-|i - j| <= 1.  Real-space multiplications run on a twice-refined grid so
-block products never alias into wrong rings; the result is truncated back
-to the resolved band with the Nyquist plane zeroed.  Every factor is
-sampled there by ``grid._padded_samples``, the one padded-sample kernel
-(a real inverse transform of the Hermitian half spectrum).
+Real-space multiplications run on a twice-refined grid so products never
+alias into the resolved band; the result is truncated back to that band.
+Every factor is sampled there by ``grid._padded_samples``, the one
+padded-sample kernel (a real inverse transform of the Hermitian half
+spectrum).  ``dealiased_products`` pairs the rows of two coefficient
+stacks (a whole time path at once) in chunks.
 
-The three Bony terms cover every block pair, so on the grid their sum is
-the plain dealiased product.  The split is what the paper's product
-estimate is proved through; it serves acceptance criterion c07, demo 03
-and the test oracle ``bony_drift_pairing``, and no command runs it.
-Everything else multiplies through ``dealiased_products``, which pairs the
-rows of two coefficient stacks (a whole time path at once) in chunks.
+The paper proves its product estimate through the Bony split into two
+paraproducts and a resonant part.  Those three terms cover every block
+pair, so on the grid they sum to the plain dealiased product; the split
+lives on as the test oracle ``oracles.bony_product``.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (GridError, SpectralField, TorusGrid, _padded_samples,
                    chunk_rows)
-from .lp import DyadicPartition, dyadic_partition
 
-__all__ = ["BonyProduct", "bony_product", "drift_samples", "drift_term",
-           "drift_terms", "dealiased_product", "dealiased_products"]
+__all__ = ["drift_samples", "drift_term", "drift_terms", "dealiased_product",
+           "dealiased_products"]
 
 
 @functools.lru_cache(maxsize=8)
@@ -67,61 +62,6 @@ def _truncate_to_grid(fine_samples: np.ndarray, g: TorusGrid) -> np.ndarray:
         nyq[axis] = n // 2
         coeffs[tuple(nyq)] += neg_nyq
     return coeffs
-
-
-@dataclass(frozen=True, eq=False)
-class BonyProduct:
-    """The three Bony terms of a pointwise product and their sum."""
-
-    para_low_high: SpectralField  # low f times high g
-    para_high_low: SpectralField  # low g times high f
-    resonant: SpectralField
-    total: SpectralField
-    alpha: float
-    beta: float
-    hypothesis_ok: bool
-
-
-def bony_product(f: SpectralField, alpha: float, g: SpectralField,
-                 beta: float, part: DyadicPartition = None) -> BonyProduct:
-    """Decomposed product of f in C^alpha with g in C^(-beta).
-
-    The estimate ||f g||_{-beta} <= c ||f||_alpha ||g||_{-beta} needs
-    alpha, beta > 0 and alpha - beta > 0; outside that range the product
-    is still computed and the result carries hypothesis_ok=False.
-    """
-    if f.grid != g.grid:
-        raise GridError("bony_product: fields on different grids")
-    if f.comp_shape or g.comp_shape:
-        raise GridError("bony_product expects scalar fields")
-    if part is None:
-        part = dyadic_partition(f.grid)
-    ok = alpha > 0 and beta > 0 and alpha - beta > 0
-    if not ok:
-        warnings.warn(
-            f"bony estimate hypothesis violated (alpha={alpha}, beta={beta}); "
-            "computing the product anyway", stacklevel=2)
-    # every block of each factor on the 2x grid, one transform per factor
-    fb = _padded_samples(part.windows * f.coeffs, f.grid, 2)
-    gb = _padded_samples(part.windows * g.coeffs, g.grid, 2)
-    nblocks = fb.shape[0]
-    f_cum = np.cumsum(fb, axis=0)
-    g_cum = np.cumsum(gb, axis=0)
-    low_high = np.zeros_like(fb[0])
-    high_low = np.zeros_like(fb[0])
-    resonant = np.zeros_like(fb[0])
-    for p in range(nblocks):  # p = j + 1
-        if p >= 2:
-            low_high += f_cum[p - 2] * gb[p]
-            high_low += g_cum[p - 2] * fb[p]
-        lo, hi = max(0, p - 1), min(nblocks - 1, p + 1)
-        resonant += fb[p] * (g_cum[hi] - (g_cum[lo - 1] if lo > 0 else 0.0))
-    terms = _truncate_to_grid(np.stack([low_high, high_low, resonant]), f.grid)
-    t_lh, t_hl, t_res = (SpectralField(f.grid, c) for c in terms)
-    total = t_lh + t_hl + t_res
-    return BonyProduct(para_low_high=t_lh, para_high_low=t_hl,
-                       resonant=t_res, total=total,
-                       alpha=alpha, beta=beta, hypothesis_ok=ok)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -3,10 +3,18 @@
 Everything here is deliberately written against the mathematics, not
 against the package: naive DFT summation, dense pair enumeration,
 integrating-factor Runge-Kutta time stepping, bisection, quadrature.
+Where a reference runs package code, its docstring says so.
+
+The module also holds machinery the paper's claims rest on that no
+command runs: the Bony split of a product (its three terms sum to the
+dealiased product), the classical Holder norm (equivalent to the
+Besov-Holder norm for gamma in (0, 1)), fields with prescribed block
+norms, and the time-continuity fit of the heat semigroup.
 """
 
 import math
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -14,12 +22,12 @@ import numpy as np
 
 from besovpde import (
     AffinePeriodicField,
+    GridError,
     SpectralField,
     TimeField,
     apply_heat,
     apply_T,
     besov_norm,
-    bony_product,
     dc_norm,
     dyadic_partition,
     dyadic_random_field,
@@ -28,7 +36,9 @@ from besovpde import (
 )
 from besovpde.calibration import contraction_constant, pair_key
 from besovpde.grid import _embed_axis, _padded_samples
+from besovpde.heat import _loglog_fit
 from besovpde.lp import _ring_labels, c1plus_norms, dc_norms, rho_time_norm_log
+from besovpde.paraproduct import _truncate_to_grid
 from besovpde.solver import (
     DIVERGENCE_STREAK,
     PicardError,
@@ -114,6 +124,167 @@ def bisect_inverse(fn, target, lo, hi, tol=1e-13, max_iter=200):
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Holder norm by structured pair sampling
+#
+# For gamma in (0, 1) the Besov-Holder norm besov_norm(f, gamma) and the
+# classical Holder norm are equivalent; this estimator is what tests check
+# that equivalence with.
+
+# fixed seed for the pair-sampling offsets; the norm must be a
+# deterministic function of the field
+_HOLDER_SAMPLING_SEED = 1618
+
+
+def _holder_offsets(grid):
+    """Offset vectors (in cells) at dyadic axis separations plus 64 seeded
+    random directions, all with torus distance below min(1, L/2)."""
+    n, d, dx = grid.n, grid.d, grid.dx
+    h_cap = min(1.0, grid.L / 2.0)
+    c_cap = n // 2
+    offsets = []
+    # dyadic cell counts per axis, plus the largest admissible separation
+    counts = []
+    c = 1
+    while c <= c_cap and c * dx < h_cap:
+        counts.append(c)
+        c *= 2
+    top = min(c_cap, int(math.ceil(h_cap / dx)) - 1)
+    if top >= 1 and top not in counts:
+        counts.append(top)
+    for ax in range(d):
+        for c in counts:
+            vec = np.zeros(d, dtype=int)
+            vec[ax] = c
+            offsets.append(vec)
+    rng = np.random.default_rng(_HOLDER_SAMPLING_SEED)
+    tries = 0
+    added = 0
+    while added < 64 and tries < 2000:
+        tries += 1
+        vec = rng.integers(-c_cap, c_cap, size=d, endpoint=True)
+        wrapped = (vec + n // 2) % n - n // 2
+        dist = dx * np.linalg.norm(wrapped)
+        if dist == 0.0 or dist >= h_cap:
+            continue
+        offsets.append(np.asarray(wrapped, dtype=int))
+        added += 1
+    return offsets
+
+
+def _pointwise_magnitude(vals, comp_shape, d):
+    if comp_shape:
+        flat = vals.reshape((-1,) + vals.shape[-d:])
+        return np.sqrt(np.sum(flat**2, axis=0))
+    return np.abs(vals)
+
+
+def holder_norm(f, gamma):
+    """Classical Holder norm, gamma in (0, 1): sup norm plus the seminorm
+    sup |f(x) - f(y)| / |x - y|^gamma over sampled grid pairs with torus
+    distance below 1."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"holder_norm needs gamma in (0,1), got {gamma}")
+    g = f.grid
+    vals = f.samples()
+    sup = float(_pointwise_magnitude(vals, f.comp_shape, g.d).max())
+    semi = 0.0
+    space_axes = tuple(range(vals.ndim - g.d, vals.ndim))
+    for vec in _holder_offsets(g):
+        wrapped = (vec + g.n // 2) % g.n - g.n // 2
+        h = g.dx * float(np.linalg.norm(wrapped))
+        diff = vals - np.roll(vals, shift=tuple(vec), axis=space_axes)
+        top = float(_pointwise_magnitude(diff, f.comp_shape, g.d).max())
+        semi = max(semi, top / h**gamma)
+    return sup + semi
+
+
+# ---------------------------------------------------------------------------
+# fields with prescribed block norms
+
+
+def interior_mode_field(grid, block_targets, seed, part=None):
+    """Field whose listed blocks have exactly the requested sup norms.
+
+    Each block is realized by a single cosine mode at a radius interior to
+    exactly one analysis window (4/3 * 2^j < r < 3/2 * 2^j), so the window
+    weight is 1 and the block equals the constructed mode.  Raises if some
+    requested block has no interior lattice radius at this resolution.
+    """
+    if part is None:
+        part = dyadic_partition(grid)
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    for j, target in sorted(block_targets.items()):
+        r = _interior_radius(grid, j)
+        if r is None:
+            raise ValueError(
+                f"block {j} has no single-window lattice radius at n={grid.n}"
+            )
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        idx_pos = (r,) + (0,) * (grid.d - 1)
+        idx_neg = (grid.n - r,) + (0,) * (grid.d - 1)
+        coeffs[idx_pos] += 0.5 * np.exp(1j * theta)
+        coeffs[idx_neg] += 0.5 * np.exp(-1j * theta)
+        f_j = SpectralField(grid, coeffs * part.window(j))
+        # measure on the same refined grid the norm estimators use, so the
+        # forced block norms are exact under besov_norm
+        sup = f_j.sup_norm(refine=2)
+        scale = target / sup
+        coeffs[idx_pos] *= scale
+        coeffs[idx_neg] *= scale
+    return SpectralField(grid, coeffs)
+
+
+def _interior_radius(grid, j):
+    lo = (8.0 / 3.0) * 2.0 ** (j - 1)
+    hi = 1.5 * 2.0**j
+    for r in range(int(math.floor(lo)) + 1, int(math.ceil(hi))):
+        if lo < r < hi and r <= grid.n // 2 - 1:
+            if r % 2 == 1:  # odd radii give dense phase coverage when refined
+                return r
+    for r in range(int(math.floor(lo)) + 1, int(math.ceil(hi))):
+        if lo < r < hi and r <= grid.n // 2 - 1:
+            return r
+    return None
+
+
+# ---------------------------------------------------------------------------
+# time continuity of the heat semigroup in the linear-growth norm
+
+
+def dc_time_continuity_fit(alpha, nu, fields, eps_samples, part=None):
+    """Fit ||P_eps h - h||_{DC^alpha} against eps for h of regularity alpha+nu.
+
+    Returns the EstimateReport (expected slope (nu ^ 1)/2) together with the
+    worst trace-term margin |P_eps h(0) - h(0)| / (sqrt(2/pi) eps^(1/2)
+    ||grad h||_inf), whose bound is exact in one dimension.  Runs package
+    code: the fit is ``heat._loglog_fit``, the norms ``dc_norm``.
+    """
+    fields = list(fields)
+    base = [dc_norm(h, alpha + nu, part) for h in fields]
+    origin = np.zeros(fields[0].grid.d)
+    ratios, trace_margin = [], 0.0
+    for eps in eps_samples:
+        top = 0.0
+        for h, b in zip(fields, base):
+            smoothed = apply_heat(eps, h)
+            diff = smoothed - h
+            top = max(top, dc_norm(diff, alpha, part) / b)
+            trace = abs(float(evaluate_at(smoothed, origin)
+                              - evaluate_at(h, origin)))
+            grad_sup = h.gradient_field().sup_norm()
+            bound = math.sqrt(2.0 / math.pi) * math.sqrt(eps) * grad_sup
+            if bound > 0:
+                trace_margin = max(trace_margin, trace / bound)
+        ratios.append(top)
+    report = _loglog_fit(f"dc_time_continuity(alpha={alpha:g},nu={nu:g})",
+                         eps_samples, ratios,
+                         expected=min(nu, 1.0) / 2.0,
+                         envelope_exp=-min(nu, 1.0) / 2.0)
+    return report, trace_margin
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +377,74 @@ def complex_padded_samples(coeffs, grid, refine):
 
 
 # ---------------------------------------------------------------------------
-# drift pairing through the Bony split
+# the Bony split of a product
+
+
+@dataclass(frozen=True, eq=False)
+class BonyProduct:
+    """The three Bony terms of a pointwise product and their sum."""
+
+    para_low_high: SpectralField  # low f times high g
+    para_high_low: SpectralField  # low g times high f
+    resonant: SpectralField
+    total: SpectralField
+    alpha: float
+    beta: float
+    hypothesis_ok: bool
+
+
+def bony_product(f, alpha, g, beta, part=None):
+    """Decomposed product of f in C^alpha with g in C^(-beta).
+
+    The product splits into two paraproducts and a resonant part: block
+    pairs (i, j) with i <= j-2 (low f times high g), j <= i-2, and
+    |i - j| <= 1.  Block products are taken on the 2x grid through the
+    package's padded-sample kernel and truncated back to the band by
+    ``paraproduct._truncate_to_grid``, so the three terms sum to
+    ``dealiased_product(f, g)`` up to rounding.  The estimate
+    ||f g||_{-beta} <= c ||f||_alpha ||g||_{-beta} needs alpha, beta > 0
+    and alpha - beta > 0; outside that range the product is still computed
+    and the result carries hypothesis_ok=False.
+    """
+    if f.grid != g.grid:
+        raise GridError("bony_product: fields on different grids")
+    if f.comp_shape or g.comp_shape:
+        raise GridError("bony_product expects scalar fields")
+    if part is None:
+        part = dyadic_partition(f.grid)
+    ok = alpha > 0 and beta > 0 and alpha - beta > 0
+    if not ok:
+        warnings.warn(
+            f"bony estimate hypothesis violated (alpha={alpha}, beta={beta}); "
+            "computing the product anyway", stacklevel=2)
+    # every block of each factor on the 2x grid, one transform per factor
+    fb = _padded_samples(part.windows * f.coeffs, f.grid, 2)
+    gb = _padded_samples(part.windows * g.coeffs, g.grid, 2)
+    nblocks = fb.shape[0]
+    f_cum = np.cumsum(fb, axis=0)
+    g_cum = np.cumsum(gb, axis=0)
+    low_high = np.zeros_like(fb[0])
+    high_low = np.zeros_like(fb[0])
+    resonant = np.zeros_like(fb[0])
+    for p in range(nblocks):  # p = j + 1
+        if p >= 2:
+            low_high += f_cum[p - 2] * gb[p]
+            high_low += g_cum[p - 2] * fb[p]
+        lo, hi = max(0, p - 1), min(nblocks - 1, p + 1)
+        resonant += fb[p] * (g_cum[hi] - (g_cum[lo - 1] if lo > 0 else 0.0))
+    terms = _truncate_to_grid(np.stack([low_high, high_low, resonant]), f.grid)
+    t_lh, t_hl, t_res = (SpectralField(f.grid, c) for c in terms)
+    total = t_lh + t_hl + t_res
+    return BonyProduct(para_low_high=t_lh, para_high_low=t_hl,
+                       resonant=t_res, total=total,
+                       alpha=alpha, beta=beta, hypothesis_ok=ok)
 
 
 def bony_drift_pairing(w, b, alpha, beta, part=None):
     """sum_i bony_product(w_i, alpha, b_i, beta).total for vector fields.
 
-    Unlike the rest of this module this reference runs package code: it is
-    the three-term Bony sum that the solver's one-product drift pairing
+    This reference runs package code: it is the three-term Bony sum
+    (``bony_product`` above) that the solver's one-product drift pairing
     replaced, kept as the reference for that path.  Regularities outside
     the product estimate's range only clear the hypothesis flag, so its
     warning is silenced.

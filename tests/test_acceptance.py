@@ -20,7 +20,6 @@ from besovpde import (
     apply_heat,
     bernstein_path,
     besov_norm,
-    bony_product,
     build_phi,
     calibrate,
     continuity_study_phi,
@@ -41,7 +40,7 @@ from besovpde import (
 )
 from besovpde.experiments import DriftSpec
 from besovpde.solver import identity_component
-from oracles import mol_reference_1d, picard_solve
+from oracles import bony_product, mol_reference_1d, picard_solve
 
 BETA, EPS = 0.3, 0.1
 

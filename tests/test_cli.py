@@ -216,29 +216,38 @@ def test_study_bony_command(calibrated):
     assert meta["spread"] <= 0.5
 
 
-def test_cli_paths_run_without_the_bony_split(tmp_path, monkeypatch):
-    # calibration, solves and the product study pair through the plain
-    # dealiased product: with every binding of bony_product raising, they
-    # still succeed
-    import sys
-    from besovpde import paraproduct
+def test_package_stands_alone_and_its_exports_resolve():
+    # no module of the package imports the test tree (the oracles are
+    # references, never a path a command runs), and every name a
+    # submodule's __all__ or the package's re-exports promise exists, so a
+    # stale __all__ entry cannot break `import *`
+    import ast
+    import importlib
+    import pkgutil
+    from pathlib import Path
 
-    def no_split(*args, **kwargs):
-        raise AssertionError("bony_product ran on a CLI path")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "besovpde":
-            for attr, value in vars(module).items():
-                if value is paraproduct.bony_product:
-                    monkeypatch.setattr(module, attr, no_split)
-    conf = write(tmp_path, BASE + "study.seeds = 2\n")
-    phi_conf = write(tmp_path, BASE + 'lambda.policy = "auto-threshold"\n',
-                     "phi.txt")
-    cal = str(tmp_path / "cal.json")
-    for cmd, path in (("calibrate", conf), ("solve", conf),
-                      ("build-phi", phi_conf), ("study-bony", conf)):
-        assert main([cmd, "--config", str(path), "--out",
-                     str(tmp_path / cmd), "--calibration", cal]) == 0, cmd
+    import besovpde
+    src = Path(besovpde.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("tests", "oracles"), \
+                    f"{path.name} imports {name}"
+    for info in pkgutil.iter_modules(besovpde.__path__):
+        exec(f"from besovpde.{info.name} import *", {})
+    for node in ast.parse((src / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"besovpde.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, (node.module, alias.name)
+                assert getattr(besovpde, alias.name) is getattr(module,
+                                                                alias.name)
 
 
 def test_study_continuity_commands(calibrated):

@@ -15,9 +15,6 @@ from besovpde import (
     dyadic_partition,
     dyadic_random_field,
     evaluate_at,
-    holder_norm,
-    interior_mode_field,
-    lp_blocks,
     to_fourier,
 )
 from besovpde.grid import CHUNK_BYTES, gradient_stack, sup_norms
@@ -28,7 +25,8 @@ from besovpde.lp import (
     dc_norms,
     rho_time_norm_log,
 )
-from oracles import dense_holder_norm_1d, per_block_sup_norms
+from oracles import (dense_holder_norm_1d, holder_norm, interior_mode_field,
+                     per_block_sup_norms)
 
 RING_LOW, RING_HIGH = 0.75, 4.0 / 3.0
 
@@ -49,8 +47,8 @@ def test_partition_ring_supports(grid256, part256):
 
 def test_constant_lives_in_low_block(grid64, part64):
     f = to_fourier(np.full(grid64.shape, 4.0), grid64)
-    dec = lp_blocks(f, part64)
-    sups = [b.sup_norm() for b in dec.blocks]
+    sups = [SpectralField(grid64, c).sup_norm()
+            for c in f.coeffs * part64.windows]
     assert abs(sups[0] - 4.0) < 1e-12
     assert max(sups[1:]) < 1e-12
 
@@ -60,15 +58,15 @@ def test_single_mode_support_blocks(grid256, part256):
     coeffs = np.zeros(grid256.shape, dtype=complex)
     coeffs[[2, -2]] = 1.0  # 2 cos(2x)
     f = SpectralField(grid256, coeffs)
-    dec = lp_blocks(f, part256)
-    nonzero = [int(j) for j, b in zip(part256.j_indices, dec.blocks)
-               if b.sup_norm() > 1e-13]
+    nonzero = [int(j) for j, c in zip(part256.j_indices,
+                                      f.coeffs * part256.windows)
+               if SpectralField(grid256, c).sup_norm() > 1e-13]
     assert nonzero == [0, 1]
 
 
 def test_block_sum_reconstructs(grid128, part128, rng):
     f = to_fourier(rng.standard_normal(grid128.shape), grid128)
-    rec = lp_blocks(f, part128).reconstruct()
+    rec = SpectralField(grid128, (f.coeffs * part128.windows).sum(axis=0))
     assert (rec - f).sup_norm() < 1e-12 * max(f.sup_norm(), 1.0)
 
 

@@ -12,19 +12,18 @@ from besovpde import (
     TimeField,
     TorusGrid,
     besov_norm,
-    bony_product,
     dealiased_product,
     drift_term,
     dyadic_partition,
     dyadic_random_field,
-    interior_mode_field,
     to_fourier,
 )
 from besovpde import paraproduct
 from besovpde.grid import _padded_samples
 from besovpde.lp import besov_norms, rho_time_norm_log
 from besovpde.paraproduct import drift_terms
-from oracles import bony_drift_pairing, per_node_drift_terms
+from oracles import (bony_drift_pairing, bony_product, interior_mode_field,
+                     per_node_drift_terms)
 
 
 def test_unit_of_the_product(grid128, part128):
