@@ -48,6 +48,7 @@ from .solver import (
     SolverConfig,
     SolverError,
     build_phi,
+    identity_component,
     invert_phi,
     lambda_threshold,
     solve_mild,
@@ -206,30 +207,30 @@ def _drift_spec(conf, seed) -> DriftSpec:
         base = DriftSpec(kind="dyadic-random", **base_kwargs)
         return DriftSpec(kind="mollified", base=base,
                          mollify=conf["drift.mollify"], **base_kwargs)
-    if kind in ("smooth", "smooth-deterministic"):
-        return DriftSpec(kind="smooth-deterministic", **base_kwargs)
-    if kind == "dyadic-random":
-        return DriftSpec(kind="dyadic-random", **base_kwargs)
+    if kind in ("smooth-deterministic", "dyadic-random"):
+        return DriftSpec(kind=kind, **base_kwargs)
     raise ConfigError(f"unknown drift.kind {kind!r}")
+
+
+def _sine(grid, amp=1.0) -> SpectralField:
+    """amp sin(2 pi x_0 / L), one period along the first axis."""
+    x = np.meshgrid(*[grid.axis_points()] * grid.d, indexing="ij")[0]
+    return to_fourier(amp * np.sin(2.0 * np.pi * x / grid.L), grid)
 
 
 def _terminal(conf, grid):
     kind = conf["terminal.kind"]
     amp = conf["terminal.amplitude"]
-    x = np.meshgrid(*[grid.axis_points()] * grid.d, indexing="ij")[0]
     if kind == "zero":
         return SpectralField.zero(grid)
     if kind == "sine":
-        return to_fourier(amp * np.sin(2.0 * np.pi * x / grid.L), grid)
+        return _sine(grid, amp)
     if kind == "affine-sine":
         slope = np.zeros(grid.d)
         slope[0] = conf["terminal.slope"]
-        return AffinePeriodicField(
-            slope, to_fourier(amp * np.sin(2.0 * np.pi * x / grid.L), grid))
+        return AffinePeriodicField(slope, _sine(grid, amp))
     if kind == "identity":
-        slope = np.zeros(grid.d)
-        slope[0] = 1.0
-        return AffinePeriodicField(slope, SpectralField.zero(grid))
+        return identity_component(grid, 0)
     raise ConfigError(f"unknown terminal.kind {kind!r}")
 
 
@@ -239,9 +240,7 @@ def _source(conf, grid, mesh, b: TimeField) -> TimeField:
     if kind == "zero":
         coeffs = np.zeros((len(mesh),) + grid.shape, dtype=complex)
     elif kind == "sine":
-        x = np.meshgrid(*[grid.axis_points()] * grid.d, indexing="ij")[0]
-        f = to_fourier(amp * np.sin(2.0 * np.pi * x / grid.L), grid)
-        coeffs = np.repeat(f.coeffs[None], len(mesh), axis=0)
+        coeffs = np.repeat(_sine(grid, amp).coeffs[None], len(mesh), axis=0)
     elif kind == "drift-component":
         coeffs = b.coeffs[:, conf["source.component"]] * amp
     else:
@@ -348,7 +347,6 @@ def cmd_build_phi(conf, args, out: Path):
         "grad_sup": res.grad_sup,
         "phi_equation_residual": res.phi_equation_residual,
         "gradient_certificate": bool(res.grad_sup <= 0.5 + 1e-3),
-        "corollary_residual": res.corollary_residual,
         "iterations": [r.iterations for r in res.u_results],
     }
 
@@ -357,8 +355,7 @@ def cmd_invert_phi(conf, args, out: Path):
     grid, part, mesh, b, cfg, calib = _problem(conf, args)
     if cfg.lam <= 0:
         raise ConfigError("invert-phi needs lambda.value > 0 or auto-threshold")
-    res = build_phi(b, cfg, part=part, check_corollary=False,
-                    calibration=calib)
+    res = build_phi(b, cfg, part=part, calibration=calib)
     t = conf["invert.t"]
     y = np.asarray(conf["invert.y"], dtype=float)
     if y.shape != (grid.d,):
@@ -463,8 +460,7 @@ def cmd_study_continuity_phi(conf, args, out: Path):
 
 def cmd_study_bernstein(conf, args, out: Path):
     grid = _grid(conf)
-    x = np.meshgrid(*[grid.axis_points()] * grid.d, indexing="ij")[0]
-    base = to_fourier(np.sin(2.0 * np.pi * x / grid.L), grid)
+    base = _sine(grid)
     base = base * (1.0 / base.sup_norm())
     ts = np.linspace(0.0, 1.0, 65)
     rows = []

@@ -37,6 +37,7 @@ from .solver import (
     PDEData,
     SolverConfig,
     invert_phi,
+    lambda_threshold,
     path_besov_norm,
     solve_mild,
     solve_u,
@@ -255,15 +256,9 @@ def continuity_study_phi(b: TimeField, cfg: SolverConfig, eps_list,
     eps_min = eps_list[-1]
     ladders = {eps: mollify_timefield(b, eps) for eps in eps_list}
 
-    theta = cfg.theta
-    worst = float(np.max([path_besov_norm(tf, -cfg.beta + cfg.eps, part,
-                                          "drift")
-                          for tf in ladders.values()]))
-    if worst > 0.0:
-        lam = (3.0 * c_cal * math.gamma(1.0 - theta)
-               * worst) ** (1.0 / (1.0 - theta))
-    else:
-        lam = 1.0  # vanishing drift: any positive lam certifies u = 0
+    # a vanishing drift gives lam = 0: any positive lam certifies u = 0
+    lam = max(lambda_threshold(tf, cfg, c_cal, part)
+              for tf in ladders.values()) or 1.0
     cfg = replace(cfg, lam=lam)
 
     def solve_for(tf):

@@ -1,9 +1,12 @@
 """Torus discretization and real fields held by their Fourier coefficients.
 
 Fields live on a periodic box [0, L)^d sampled on a uniform n^d lattice.
-Every field is real, so its coefficients are Hermitian.  The forward
-transform carries the 1/n^d normalization, so the k=0 coefficient of a
-field is its mean.  Every other module consumes the types defined here.
+Every field is real, so its coefficients are Hermitian, and every
+sampling of a field (its samples, field files and the refined samples
+behind norms and products) reads the half spectrum through one kernel,
+``_padded_samples``.  The forward transform carries the 1/n^d
+normalization, so the k=0 coefficient of a field is its mean.  Every
+other module consumes the types defined here.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ __all__ = [
     "save_fields",
     "load_field",
 ]
-
-_ROUND_TRIP_TOL = 1e-12
 
 # Bytes of refined samples one batched sup-norm transform produces (8 a
 # point).  Measured on the benchmark workloads (2-core host, numpy 2.4,
@@ -176,17 +177,12 @@ class SpectralField:
     def components(self) -> int:
         return int(np.prod(self.comp_shape)) if self.comp_shape else 1
 
-    @property
-    def space_axes(self) -> tuple:
-        nd = self.coeffs.ndim
-        return tuple(range(nd - self.grid.d, nd))
-
     def samples(self) -> np.ndarray:
-        """Real-space samples."""
+        """Real-space samples, read from the half spectrum as every
+        sampling is (``_padded_samples``)."""
         if self.sample_cache is not None:
             return self.sample_cache
-        vals = np.fft.ifftn(self.coeffs, axes=self.space_axes) * self.grid.n**self.grid.d
-        return vals.real
+        return _padded_samples(self.coeffs, self.grid, 1)
 
     def mean(self) -> np.ndarray:
         idx = (...,) + (0,) * self.grid.d
@@ -208,13 +204,13 @@ class SpectralField:
     def component(self, *idx) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs[idx])
 
-    def sup_norm(self, refine: int = 2) -> float:
+    def sup_norm(self) -> float:
         """Sup of the pointwise Euclidean magnitude over the refined grid.
 
         Band-limited fields can exceed their grid maximum between samples,
-        so the default evaluates on the ``refine``-times finer lattice.
+        so it is evaluated on the twice finer lattice.
         """
-        return float(sup_norms(self.coeffs[None], self.grid, refine)[0])
+        return float(sup_norms(self.coeffs[None], self.grid)[0])
 
     @staticmethod
     def zero(grid: TorusGrid, comp_shape: tuple = ()) -> "SpectralField":
@@ -309,8 +305,9 @@ def _padded_samples(coeffs: np.ndarray, grid: TorusGrid,
     The coefficients' last d axes are the grid; leading axes are a batch,
     transformed together.  Axis Nyquist coefficients are split evenly
     between +-n/2 so that the samples stay real and the original grid
-    points are reproduced.  The one kernel behind every sampling on the
-    refined grid: sup norms, block sup norms and the dealiased products.
+    points are reproduced.  The one kernel behind every sampling of a
+    field: samples and field files (``refine = 1``), and on the refined
+    grid sup norms, block sup norms and the dealiased products.
 
     The samples come from a real inverse transform of the half spectrum
     on the last axis: modes 0..n/2-1, the coarse Nyquist halved into slot
@@ -341,18 +338,17 @@ def chunk_rows(row_shape: tuple, grid: TorusGrid, refine: int = 2) -> int:
     return max(1, CHUNK_BYTES // (comps * (refine * grid.n) ** grid.d * 8))
 
 
-def sup_norms(coeffs: np.ndarray, grid: TorusGrid,
-              refine: int = 2) -> np.ndarray:
+def sup_norms(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """``sup_norm`` of every row of a ``(N,) + comp_shape + grid`` stack.
 
-    Rows are sampled on the ``refine``-times finer grid in chunks of
-    ``chunk_rows`` rows, each chunk one call of the padded-sample kernel.
+    Rows are sampled on the twice finer grid in chunks of ``chunk_rows``
+    rows, each chunk one call of the padded-sample kernel.
     """
     d = grid.d
-    rows = chunk_rows(coeffs.shape[1:], grid, refine)
+    rows = chunk_rows(coeffs.shape[1:], grid)
     out = np.empty(len(coeffs))
     for lo in range(0, len(coeffs), rows):
-        vals = _padded_samples(coeffs[lo:lo + rows], grid, refine)
+        vals = _padded_samples(coeffs[lo:lo + rows], grid, 2)
         if vals.ndim > 1 + d:   # Euclidean magnitude over the components
             flat = vals.reshape((len(vals), -1) + vals.shape[-d:])
             mag = np.sqrt(np.sum(np.abs(flat) ** 2, axis=1))
@@ -549,11 +545,6 @@ class TimeField:
     def uniform_mesh(T: float, M: int) -> np.ndarray:
         return np.linspace(0.0, T, M + 1)
 
-    @staticmethod
-    def constant(slice_field, T: float, M: int) -> "TimeField":
-        mesh = TimeField.uniform_mesh(T, M)
-        return TimeField(mesh, [slice_field] * (M + 1))
-
 
 # ---------------------------------------------------------------------------
 # field file format: one-line JSON header + row-major float64 LE sample block
@@ -579,11 +570,10 @@ def save_fields(paths, grid: TorusGrid, coeffs: np.ndarray):
     """``save_field`` of every row of a ``(N,) + comp_shape + grid`` stack.
 
     Row m goes to ``paths[m]``.  The samples of all rows come from one
-    batched inverse transform, which gives each row the same bytes as its
-    own transform would.
+    batched call of the padded-sample kernel, which gives each row the
+    same bytes as ``SpectralField.samples`` would.
     """
-    axes = tuple(range(coeffs.ndim - grid.d, coeffs.ndim))
-    samples = (np.fft.ifftn(coeffs, axes=axes) * grid.n**grid.d).real
+    samples = _padded_samples(coeffs, grid, 1)
     for path, c, s in zip(paths, coeffs, samples):
         save_field(path, SpectralField(grid, c, sample_cache=s))
 

@@ -118,28 +118,27 @@ def dyadic_partition(grid: TorusGrid) -> DyadicPartition:
     return DyadicPartition(grid=grid, j_max=j_max, windows=windows)
 
 
-def block_sup_stack(coeffs: np.ndarray, part: DyadicPartition,
-                    refine: int = 2) -> np.ndarray:
+def block_sup_stack(coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
     """Block sup norms of a ``(N,) + comp_shape + grid`` coefficient stack.
 
-    Entry (i, j + 1) is ``||Delta_j f_i||_inf`` on the ``refine``-times
-    finer grid.  The N * (J+2) (field, block) pairs are windowed and
-    measured ``chunk_rows`` at a time, so one batched transform replaces
-    many small ones without the memory traffic of padding every block of a
-    whole path at once.
+    Entry (i, j + 1) is ``||Delta_j f_i||_inf`` on the twice finer grid.
+    The N * (J+2) (field, block) pairs are windowed and measured
+    ``chunk_rows`` at a time, so one batched transform replaces many small
+    ones without the memory traffic of padding every block of a whole path
+    at once.
     """
     g = part.grid
     if coeffs.shape[coeffs.ndim - g.d:] != g.shape:
         raise GridError("coefficients and partition live on different grids")
     n_blocks = len(part.windows)
     window_shape = (1,) * (coeffs.ndim - 1 - g.d) + g.shape
-    pairs = chunk_rows(coeffs.shape[1:], g, refine)
+    pairs = chunk_rows(coeffs.shape[1:], g)
     total = len(coeffs) * n_blocks
     out = np.empty(total)
     for lo in range(0, total, pairs):
         node, block = np.divmod(np.arange(lo, min(lo + pairs, total)), n_blocks)
         windows = part.windows[block].reshape((len(block),) + window_shape)
-        out[lo:lo + pairs] = sup_norms(coeffs[node] * windows, g, refine)
+        out[lo:lo + pairs] = sup_norms(coeffs[node] * windows, g)
     return out.reshape(len(coeffs), n_blocks)
 
 
@@ -165,13 +164,13 @@ class BesovNorm:
 
 
 def besov_norm(f: SpectralField, gamma: float,
-               part: DyadicPartition = None, refine: int = 2) -> BesovNorm:
+               part: DyadicPartition = None) -> BesovNorm:
     """Besov-Holder norm estimator; any real gamma, negative included."""
     if part is None:
         part = dyadic_partition(f.grid)
     if part.grid != f.grid:
         raise GridError("field and partition live on different grids")
-    sups = block_sup_stack(f.coeffs[None], part, refine)[0]
+    sups = block_sup_stack(f.coeffs[None], part)[0]
     j = part.j_indices
     ledger = 2.0 ** (j * gamma) * sups
     return BesovNorm(gamma=gamma, value=float(ledger.max()), ledger=ledger,

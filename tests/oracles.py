@@ -40,7 +40,6 @@ from besovpde.heat import _loglog_fit
 from besovpde.lp import _ring_labels, c1plus_norms, dc_norms, rho_time_norm_log
 from besovpde.paraproduct import _truncate_to_grid
 from besovpde.solver import (
-    DIVERGENCE_STREAK,
     PicardError,
     SolveResult,
     SolverError,
@@ -231,7 +230,7 @@ def interior_mode_field(grid, block_targets, seed, part=None):
         f_j = SpectralField(grid, coeffs * part.window(j))
         # measure on the same refined grid the norm estimators use, so the
         # forced block norms are exact under besov_norm
-        sup = f_j.sup_norm(refine=2)
+        sup = f_j.sup_norm()
         scale = target / sup
         coeffs[idx_pos] *= scale
         coeffs[idx_neg] *= scale
@@ -713,13 +712,20 @@ def convolution_constant_by_apply_T(grid, alpha, beta, seed, T=1.0, M=64,
     return worst
 
 
+# The Picard oracle stops as diverging after this many consecutive
+# contraction ratios above 1 (counting only ratios above the rounding
+# floor).  The solver has no such rule: its march and certificate decide.
+DIVERGENCE_STREAK = 3
+
+
 def picard_solve(data, cfg, part=None, calibration=None, v0=None,
                  compute_weak_residual=True):
     """``solver.solve_mild`` as the global Picard iteration alone.
 
     The loop the backward march replaced, run until the increment is
     within ``tol_fix``: every contraction ratio of a full Picard solve.
-    Package code for the operator, norms and diagnostics.
+    It refuses a problem after ``DIVERGENCE_STREAK`` ratios above 1 in a
+    row.  Package code for the operator, norms and diagnostics.
     """
     if part is None:
         part = dyadic_partition(data.grid)

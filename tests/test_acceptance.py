@@ -125,7 +125,7 @@ def threshold_solution(grid, part, rough_drift, calibration):
     lam = lambda_threshold(rough_drift, cfg0,
                            lambda_constant(calibration, cfg0), part)
     cfg = SolverConfig(beta=BETA, eps=EPS, T=0.5, M=64, lam=lam, rho=1.0)
-    return build_phi(rough_drift, cfg, part=part, check_corollary=False), lam
+    return build_phi(rough_drift, cfg, part=part), lam
 
 
 def test_c01_heat_exactness():

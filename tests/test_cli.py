@@ -369,6 +369,39 @@ def test_singular_dense_march_exits_3(calibrated, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+def test_divergent_drift_exits_3_naming_the_certificate(tmp_path, capsys):
+    # a 1e4 sin(x) drift: the Picard prefix measures ratios near 1e3 and
+    # refuses nothing; the dense march's answer then misses its certificate
+    conf = write(tmp_path, BASE + "time.M = 16\n"
+                 'drift.kind = "smooth-deterministic"\n'
+                 "drift.amplitude = 1e4\n"
+                 'rho.policy = "explicit"\nrho.value = 1.0\n')
+    rc = main(["solve", "--config", str(conf), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "the marched solution misses its certificate" in err
+    assert "above tol_fix 1.000e-10 after the dense march" in err
+
+
+def test_solve_without_a_contracting_prefix_exits_0(tmp_path):
+    # the benchmark's solve-1d shape with lam = 20 in the integrand and
+    # rho = 1: global Picard does not contract (its largest ratio is above
+    # 1, so error_bound is inf), and the march still reaches the fixed
+    # point and passes its certificate
+    conf = write(tmp_path, BASE + "grid.n = 128\ntime.M = 64\n"
+                 'terminal.kind = "affine-sine"\nlambda.value = 20.0\n'
+                 'rho.policy = "explicit"\nrho.value = 1.0\n')
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(conf), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    meta = json.loads((out / "solution.json").read_text())
+    assert manifest["march"] == "dense"
+    assert manifest["error_bound"] == float("inf")
+    assert max(meta["ratios"]) >= 1.0
+    assert manifest["final_increment_sup"] <= meta["config"]["tol_fix"]
+    assert meta["weak_residual"] <= 10.0 * meta["weak_tolerance"]
+
+
 def test_continuity_phi_study_in_two_dimensions_exits_2(tmp_path, capsys):
     # the phi ladder is one-dimensional: a d = 2 config is a config error,
     # named before any drift is built or calibration read

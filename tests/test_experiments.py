@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from besovpde import (
     to_fourier,
 )
 from besovpde.paraproduct import dealiased_product
+from besovpde.solver import path_besov_norm
 from test_solver import nan_in_slice
 
 MESH = TimeField.uniform_mesh(0.5, 16)
@@ -280,6 +282,7 @@ def test_continuity_phi_zero_drift(grid64, part64):
     assert max(study.errors["u"]) < 1e-13
     assert max(study.errors["psi"]) < 1e-10
     assert study.verdicts["psi_factor_two"]
+    assert study.notes["lambda"] == 1.0
 
 
 def test_continuity_phi_rough_drift(grid64, part64):
@@ -289,8 +292,15 @@ def test_continuity_phi_rough_drift(grid64, part64):
     b = gen_drift(spec, grid64, mesh, part64)
     cfg = SolverConfig(beta=0.3, eps=0.1, T=T, M=M, lam=1.0, rho=1.0,
                        tol_fix=1e-12)
-    study = continuity_study_phi(b, cfg, [2.0**-k for k in range(2, 7)],
-                                 c_cal=1.5, part=part64)
+    eps_list = [2.0**-k for k in range(2, 7)]
+    study = continuity_study_phi(b, cfg, eps_list, c_cal=1.5, part=part64)
+    # lam from the ladder's worst drift norm, bit for bit
+    worst = max(path_besov_norm(mollify_timefield(b, eps),
+                                -cfg.beta + cfg.eps, part64, "drift")
+                for eps in eps_list)
+    theta = cfg.theta
+    assert study.notes["lambda"] == (3.0 * 1.5 * math.gamma(1.0 - theta)
+                                     * worst) ** (1.0 / (1.0 - theta))
     assert study.verdicts["u_decreasing"]
     assert study.verdicts["psi_decreasing"]
     assert study.verdicts["psi_factor_two"]

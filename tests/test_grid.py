@@ -69,12 +69,9 @@ def test_to_fourier_rejects_complex_samples(grid64, dtype):
         to_fourier(samples, grid64)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="ROADMAP item 5: SpectralField accepts coefficients "
-                          "that are not Hermitian, and its half-spectrum sup "
-                          "norm then reads another field than its samples")
 def test_sup_norm_and_samples_read_one_field():
-    # only c[5] = 1: sup_norm() reads 2 cos(5x) (2.0), samples() cos(5x) (1.0)
+    # only c[5] = 1, not Hermitian: sup_norm() and samples() both read the
+    # half spectrum, the field 2 cos(5x)
     grid = TorusGrid(d=1, n=64)
     c = np.zeros(grid.shape, dtype=complex)
     c[5] = 1.0

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from besovpde import PicardError, SolverConfig, TorusGrid, solve_mild
+from besovpde import SolverConfig, TorusGrid, solve_mild
 from besovpde.grid import sup_norms
 from oracles import manufactured_problem
 
@@ -51,10 +51,6 @@ def test_known_answer_second_order(d, n, kernel, affine, modulated, pairing,
     assert abs(math.log2(errors[0] / errors[1]) - 2.0) <= 0.05
 
 
-@pytest.mark.xfail(raises=PicardError, strict=True,
-                   reason="ROADMAP item 1: the global Picard prefix does not "
-                          "contract at rho = 1 with lam = 20 and stops the "
-                          "solve, although the march needs no contraction")
 def test_known_answer_without_a_contracting_prefix():
     # the solve-1d shape (n = 128, M = 64) with lam = 20 in the integrand
     grid = TorusGrid(d=1, n=128)
