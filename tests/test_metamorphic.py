@@ -72,8 +72,7 @@ def _assert_same(v, coeffs, slopes):
     scale = sup_norms(coeffs, v.grid).max()
     gap = sup_norms(v.coeffs - coeffs, v.grid).max()
     assert gap <= TOLERANCE * scale, gap / scale
-    got = np.zeros_like(slopes) if v.slopes is None else v.slopes
-    assert np.abs(got - slopes).max() <= TOLERANCE * max(
+    assert np.abs(_slopes(v) - slopes).max() <= TOLERANCE * max(
         1.0, np.abs(slopes).max())
 
 
